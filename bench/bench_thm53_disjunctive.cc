@@ -6,6 +6,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
+
 #include "core/entail_disjunctive.h"
 #include "workload/generators.h"
 
@@ -101,6 +103,59 @@ void BM_Thm53_CountermodelEnumeration(benchmark::State& state) {
 BENCHMARK(BM_Thm53_CountermodelEnumeration)
     ->DenseRange(3, 6)
     ->Unit(benchmark::kMillisecond);
+
+// The shape of the wire benchmark's eval_deep Thm 5.3 reads: 3 chains of
+// 12 points over 4 predicates, 3 disjuncts of length 3, about 1000
+// search states, governed by a 2 s deadline as on the wire. Instances are
+// drawn from a fixed seed until one visits 900-1100 states.
+Instance EvalDeepShape() {
+  Rng rng(53);
+  auto vocab = std::make_shared<Vocabulary>();
+  MonadicDbParams params;
+  params.num_chains = 3;
+  params.chain_length = 12;
+  params.num_predicates = 4;
+  params.label_probability = 0.5;
+  params.le_probability = 0.2;
+  for (int tries = 0; tries < 10000; ++tries) {
+    Result<NormDb> norm = Normalize(RandomMonadicDb(params, vocab, rng));
+    IODB_CHECK(norm.ok());
+    Result<NormQuery> nq = NormalizeQuery(
+        RandomDisjunctiveSequentialQuery(3, 3, 4, 0.3, 0.2, vocab, rng));
+    IODB_CHECK(nq.ok());
+    long long states =
+        EntailDisjunctive(norm.value(), nq.value()).states_visited;
+    if (states >= 900 && states < 1100) {
+      return {std::move(norm.value()), std::move(nq.value())};
+    }
+  }
+  IODB_CHECK(false);
+  return {};
+}
+
+void BM_Thm53_EvalDeepShape(benchmark::State& state) {
+  Instance inst = EvalDeepShape();
+  long long states = 0;
+  std::chrono::nanoseconds elapsed{0};
+  for (auto _ : state) {
+    const auto start = std::chrono::steady_clock::now();
+    ExecBudget budget;
+    budget.SetDeadlineAfterMs(2000);
+    DisjunctiveOptions options;
+    options.budget = &budget;
+    DisjunctiveOutcome outcome = EntailDisjunctive(inst.db, inst.query,
+                                                   options);
+    elapsed += std::chrono::steady_clock::now() - start;
+    IODB_CHECK(!outcome.exhausted);
+    states = outcome.states_visited;
+    benchmark::DoNotOptimize(outcome.entailed);
+  }
+  state.counters["states"] = static_cast<double>(states);
+  state.counters["ns_per_state"] =
+      static_cast<double>(elapsed.count()) /
+      (static_cast<double>(states) * static_cast<double>(state.iterations()));
+}
+BENCHMARK(BM_Thm53_EvalDeepShape)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace iodb

@@ -24,6 +24,21 @@ struct PackedKeyHash {
 };
 
 struct Engine {
+  // The packed key holds 12 bits per disjunct position; the fast path
+  // additionally needs every point, every label and every disjunct's
+  // order variables in one machine word.
+  static constexpr size_t kMaxPackedDisjuncts = 5;
+  static constexpr int kMaxMaskVars = 64;
+
+  // Per-depth scratch of the mask fast path: the advance sets of every
+  // disjunct, flat (disjunct i owns advance[begin[i] .. begin[i+1])), and
+  // the successor positions the product search is building.
+  struct Frame {
+    std::vector<int> advance;
+    int begin[kMaxPackedDisjuncts + 1] = {};
+    int next_u[kMaxPackedDisjuncts] = {};
+  };
+
   const NormDb& db;
   const NormQuery& query;
   const DisjunctiveOptions& options;
@@ -41,6 +56,18 @@ struct Engine {
   bool stop = false;
   bool exhausted = false;
 
+  // Mask fast path, sized once here so the search allocates nothing: the
+  // label word of every database point and of every query vertex
+  // (disjunct i's at var_label[var_label_off[i] + u]), one bit pair per
+  // "!=" constraint, and per search depth a frame and the group placed
+  // there. Depth is below num_points: every group removes a point.
+  std::vector<uint64_t> point_label;
+  std::vector<uint64_t> var_label;
+  size_t var_label_off[kMaxPackedDisjuncts] = {};
+  std::vector<uint64_t> unequal_pairs;
+  std::vector<Frame> frames;
+  std::vector<uint64_t> group_stack;
+
   // Budget seam: counts one unit of search work; on a trip sets the
   // sticky exhausted flag and the stop flag so every loop unwinds (and,
   // via the existing `!stop` guards, nothing half-explored is memoized).
@@ -51,22 +78,54 @@ struct Engine {
     return false;
   }
 
-  // The packed key holds 12 bits per disjunct position; the fast path
-  // additionally needs every point in one machine word.
-  static constexpr size_t kMaxPackedDisjuncts = 5;
-  static constexpr int kMaxPackedPosition = 1 << 12;
-
   Engine(const NormDb& d, const NormQuery& q, const DisjunctiveOptions& o)
       : db(d), query(q), options(o) {
     if (options.use_incremental) {
       ctx = SharedEnumerationContext(db);
-      fast = ctx->has_masks && query.disjuncts.size() <= kMaxPackedDisjuncts;
-      for (const NormConjunct& conjunct : query.disjuncts) {
-        if (conjunct.num_order_vars() >= kMaxPackedPosition) fast = false;
-      }
+      fast = ctx->has_masks &&
+             query.disjuncts.size() <= kMaxPackedDisjuncts &&
+             InitMaskPath();
     } else {
       reach.emplace(ComputeReachability(d.dag));
     }
+  }
+
+  // The label as one word; false when it holds a predicate id >= 64.
+  static bool LabelWord(const PredSet& label, uint64_t& word) {
+    const std::vector<uint64_t>& words = label.words();
+    for (size_t w = 1; w < words.size(); ++w) {
+      if (words[w] != 0) return false;
+    }
+    word = words.empty() ? 0 : words[0];
+    return true;
+  }
+
+  // Fills the mask path's tables; false when a label or a disjunct does
+  // not fit the word gate (the search then takes the general path).
+  bool InitMaskPath() {
+    point_label.resize(db.num_points());
+    for (int p = 0; p < db.num_points(); ++p) {
+      if (!LabelWord(db.labels[p], point_label[p])) return false;
+    }
+    size_t advance_capacity = 0;
+    for (size_t i = 0; i < query.disjuncts.size(); ++i) {
+      const NormConjunct& conjunct = query.disjuncts[i];
+      if (conjunct.num_order_vars() > kMaxMaskVars) return false;
+      var_label_off[i] = var_label.size();
+      for (const PredSet& label : conjunct.labels) {
+        if (!LabelWord(label, var_label.emplace_back())) return false;
+      }
+      // A vertex enters an advance set at most twice: once as "stays",
+      // once as a "<" successor.
+      advance_capacity += 2 * static_cast<size_t>(conjunct.num_order_vars());
+    }
+    for (const auto& [u, v] : db.inequalities) {
+      unequal_pairs.push_back((uint64_t{1} << u) | (uint64_t{1} << v));
+    }
+    frames.resize(db.num_points());
+    for (Frame& frame : frames) frame.advance.resize(advance_capacity);
+    group_stack.resize(db.num_points());
+    return true;
   }
 
   bool Comparable(int u, int v) {
@@ -141,29 +200,19 @@ struct Engine {
     return key;
   }
 
-  static uint64_t PackPositions(const std::vector<int>& u_vec) {
-    uint64_t pack = 0;
-    for (size_t i = 0; i < u_vec.size(); ++i) {
-      pack |= static_cast<uint64_t>(u_vec[i]) << (12 * i);
-    }
-    return pack;
-  }
-
-  // Reports the current complete sort as a countermodel. Returns true if
-  // the search should continue looking for more countermodels.
-  bool ReportCounter() {
+  // Reports the current complete sort as a countermodel; sets `stop` when
+  // the search should not look for more.
+  void ReportCounter() {
     ++outcome.countermodels_reported;
     FiniteModel model = BuildMinimalModel(db, groups);
     if (outcome.entailed) {
       outcome.entailed = false;
       outcome.countermodel = model;
     }
-    if (options.on_countermodel != nullptr) {
-      if (!options.on_countermodel(model)) stop = true;
-      return !stop;
+    // Decision mode (no callback): the first countermodel suffices.
+    if (options.on_countermodel == nullptr || !options.on_countermodel(model)) {
+      stop = true;
     }
-    stop = true;  // decision mode: first countermodel suffices
-    return false;
   }
 
   // Entry point: dispatches the initial state to the active path.
@@ -171,7 +220,7 @@ struct Engine {
     if (fast) {
       uint64_t alive = 0;
       for (int v : s) alive |= ctx->desc_mask[v];
-      return SearchMask(alive, u_vec);
+      return SearchMask(alive, u_vec.data(), 0);
     }
     return Search(s, u_vec);
   }
@@ -280,9 +329,8 @@ struct Engine {
     if (stop) return;
     if (index == advance.size()) {
       if (next_s.empty()) {
-        if (ReportCounter()) found = true;
-        // ReportCounter() returning false may mean "stop everything"; the
-        // countermodel itself still counts as found.
+        // Even when it stops the search, the countermodel counts as found.
+        ReportCounter();
         found = true;
       } else if (Search(next_s, next_u)) {
         found = true;
@@ -297,15 +345,30 @@ struct Engine {
   }
 
   // ---------------------------------------------------------------------
-  // Mask fast path (<= 64 points, <= 5 disjuncts). Identical state space,
-  // group enumeration order and countermodel sequence as the general
-  // path; the alive region, minor test, antichain independence and group
-  // down-closure all become single-word operations on the context masks.
+  // Mask fast path (<= 64 points, <= 5 disjuncts, every label id below 64,
+  // <= 64 order variables per disjunct). Identical state space, group
+  // enumeration order and countermodel sequence as the general path; the
+  // alive region, minor test, antichain independence, group down-closure,
+  // group label and label-subset tests all become single-word operations.
+  // Apart from inserts into `failed_packed`, the loop allocates nothing:
+  // advance sets and successor positions live in the per-depth frames, the
+  // partial sort is the group-mask stack, and `groups` is built only to
+  // report a countermodel.
   // ---------------------------------------------------------------------
 
-  bool SearchMask(uint64_t alive, const std::vector<int>& u_vec) {
+  // Positions `u` of every disjunct, 12 bits each.
+  uint64_t PackPositions(const int* u) const {
+    uint64_t pack = 0;
+    for (size_t i = 0; i < query.disjuncts.size(); ++i) {
+      pack |= static_cast<uint64_t>(u[i]) << (12 * i);
+    }
+    return pack;
+  }
+
+  // `u` holds the disjunct positions; `depth` groups are already placed.
+  bool SearchMask(uint64_t alive, const int* u, int depth) {
     if (stop) return false;
-    std::pair<uint64_t, uint64_t> key{alive, PackPositions(u_vec)};
+    std::pair<uint64_t, uint64_t> key{alive, PackPositions(u)};
     if (failed_packed.contains(key)) return false;
     if (!ChargeBudget()) return false;
     ++outcome.states_visited;
@@ -322,7 +385,7 @@ struct Engine {
 
     bool found_any = false;
     EnumerateGroupsMask(minors, minors, alive, /*incompat=*/0,
-                        /*chosen_anc=*/0, u_vec, found_any);
+                        /*chosen_anc=*/0, u, depth, found_any);
     if (!found_any && !stop) failed_packed.insert(key);
     return found_any;
   }
@@ -334,7 +397,7 @@ struct Engine {
   // down-closure is one AND away.
   void EnumerateGroupsMask(uint64_t minors, uint64_t rest, uint64_t alive,
                            uint64_t incompat, uint64_t chosen_anc,
-                           const std::vector<int>& u_vec, bool& found_any) {
+                           const int* u, int depth, bool& found_any) {
     if (stop) return;
     for (; rest != 0 && !stop; rest &= rest - 1) {
       int v = std::countr_zero(rest);
@@ -342,67 +405,101 @@ struct Engine {
       ++rstats.fast_hits;
       if ((incompat >> v) & 1) continue;
       uint64_t next_anc = chosen_anc | ctx->anc_mask[v];
-      if (TryGroupMask(minors, next_anc, alive, u_vec)) found_any = true;
+      if (TryGroupMask(minors, next_anc, alive, u, depth)) found_any = true;
       EnumerateGroupsMask(minors, rest & (rest - 1), alive,
                           incompat | ctx->desc_mask[v] | ctx->anc_mask[v],
-                          next_anc, u_vec, found_any);
+                          next_anc, u, depth, found_any);
+    }
+  }
+
+  // AdvanceSet on words: `a` is the group's label word, `labels` the
+  // disjunct's vertex label words, `seen`/`emitted` the visited and
+  // "<"-emitted marks. Appends the next positions at out[n++], in
+  // AdvanceSet's order.
+  void AdvanceMask(const NormConjunct& conjunct, const uint64_t* labels,
+                   int u, uint64_t a, uint64_t& seen, uint64_t& emitted,
+                   int* out, int& n) const {
+    const uint64_t bit = uint64_t{1} << u;
+    if (seen & bit) return;
+    seen |= bit;
+    if ((labels[u] & ~a) != 0) {
+      out[n++] = u;  // cannot be matched at this point: stays
+      return;
+    }
+    for (const Digraph::Arc& arc : conjunct.dag.out(u)) {
+      if (arc.rel == OrderRel::kLe) {
+        AdvanceMask(conjunct, labels, arc.vertex, a, seen, emitted, out, n);
+      } else if (!((emitted >> arc.vertex) & 1)) {
+        emitted |= uint64_t{1} << arc.vertex;
+        out[n++] = arc.vertex;
+      }
     }
   }
 
   bool TryGroupMask(uint64_t minors, uint64_t chosen_anc, uint64_t alive,
-                    const std::vector<int>& u_vec) {
+                    const int* u, int depth) {
     if (!ChargeBudget()) return false;
     // Down-closure of the chosen antichain within the minor set: the
     // minors that (weakly) reach a chosen vertex.
     uint64_t group_mask = minors & chosen_anc;
     rstats.probes += std::popcount(minors);
     rstats.fast_hits += std::popcount(minors);
-    for (const auto& [u, v] : db.inequalities) {
-      if (((group_mask >> u) & 1) && ((group_mask >> v) & 1)) return false;
+    for (uint64_t pair : unequal_pairs) {
+      if ((group_mask & pair) == pair) return false;
     }
 
-    std::vector<int> group;
-    PredSet point_label(db.vocab->num_predicates());
+    uint64_t point_label_union = 0;
     for (uint64_t g = group_mask; g != 0; g &= g - 1) {
-      int m = std::countr_zero(g);
-      group.push_back(m);
-      point_label.UnionWith(db.labels[m]);
+      point_label_union |= point_label[std::countr_zero(g)];
     }
 
-    std::vector<std::vector<int>> advance(query.disjuncts.size());
+    Frame& frame = frames[depth];
+    int n = 0;
     for (size_t i = 0; i < query.disjuncts.size(); ++i) {
-      advance[i] =
-          ComputeAdvance(static_cast<int>(i), u_vec[i], point_label);
-      if (advance[i].empty()) return false;
+      frame.begin[i] = n;
+      uint64_t seen = 0;
+      uint64_t emitted = 0;
+      AdvanceMask(query.disjuncts[i], &var_label[var_label_off[i]], u[i],
+                  point_label_union, seen, emitted, frame.advance.data(), n);
+      if (n == frame.begin[i]) return false;
     }
+    frame.begin[query.disjuncts.size()] = n;
 
-    uint64_t next_alive = alive & ~group_mask;
-    groups.push_back(std::move(group));
+    group_stack[depth] = group_mask;
     bool found = false;
-    std::vector<int> next_u(u_vec.size());
-    ProductSearchMask(advance, 0, next_u, next_alive, found);
-    groups.pop_back();
+    ProductSearchMask(frame, 0, alive & ~group_mask, depth, found);
     return found;
   }
 
-  void ProductSearchMask(const std::vector<std::vector<int>>& advance,
-                         size_t index, std::vector<int>& next_u,
-                         uint64_t next_alive, bool& found) {
+  void ProductSearchMask(Frame& frame, size_t index, uint64_t next_alive,
+                         int depth, bool& found) {
     if (stop) return;
-    if (index == advance.size()) {
+    if (index == query.disjuncts.size()) {
       if (next_alive == 0) {
-        if (ReportCounter()) found = true;
+        ReportCounterMask(depth);
         found = true;
-      } else if (SearchMask(next_alive, next_u)) {
+      } else if (SearchMask(next_alive, frame.next_u, depth + 1)) {
         found = true;
       }
       return;
     }
-    for (int u : advance[index]) {
-      next_u[index] = u;
-      ProductSearchMask(advance, index + 1, next_u, next_alive, found);
+    for (int k = frame.begin[index]; k < frame.begin[index + 1]; ++k) {
+      frame.next_u[index] = frame.advance[k];
+      ProductSearchMask(frame, index + 1, next_alive, depth, found);
       if (stop) return;
     }
+  }
+
+  // Materializes the group stack 0..depth as `groups` and reports it.
+  void ReportCounterMask(int depth) {
+    groups.resize(depth + 1);
+    for (int d = 0; d <= depth; ++d) {
+      groups[d].clear();
+      for (uint64_t g = group_stack[d]; g != 0; g &= g - 1) {
+        groups[d].push_back(std::countr_zero(g));
+      }
+    }
+    ReportCounter();
   }
 };
 

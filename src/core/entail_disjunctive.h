@@ -46,11 +46,16 @@ struct DisjunctiveOptions {
   /// The query's disjuncts are already transitively reduced; skip the
   /// per-call reduction (PreparedQuery memoizes it at Prepare() time).
   bool already_reduced = false;
-  /// Route order tests through the database's shared reachability context
-  /// (single-word mask probes for databases of at most 64 points, interval
-  /// probes otherwise). False runs the original per-call closure path,
-  /// kept as the differential oracle. Both paths visit the same states and
-  /// report countermodels in the same sequence.
+  /// Route order tests through the database's shared reachability context.
+  /// The word-mask fast path serves databases of at most 64 points and
+  /// queries of at most 5 disjuncts, every label predicate id below 64 and
+  /// at most 64 order variables per disjunct: regions, groups, labels and
+  /// path-position marks are single machine words, and the search loop
+  /// allocates only to memoize failed states. Anything else takes the general search with
+  /// per-pair probes (interval probes past 64 points). False runs
+  /// the original per-call closure path, kept as the differential oracle.
+  /// All paths visit the same states and report countermodels in the same
+  /// sequence.
   bool use_incremental = true;
   /// Optional execution budget, charged once per search state and once
   /// per group candidate tried. Null (the default) is the zero-overhead

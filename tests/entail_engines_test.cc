@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "core/entail_bounded_width.h"
@@ -14,6 +15,7 @@
 #include "core/entail_paths.h"
 #include "core/minimal_models.h"
 #include "core/model_check.h"
+#include "core/parser.h"
 #include "core/wqo.h"
 #include "workload/generators.h"
 
@@ -295,6 +297,273 @@ TEST_P(DisjunctiveEngineTest, IncrementalMatchesOraclePath) {
   EXPECT_EQ(fast.countermodels_reported, oracle.countermodels_reported)
       << "seed " << GetParam();
   EXPECT_EQ(fast_seq, oracle_seq) << "seed " << GetParam();
+}
+
+// Runs the engine under `first` and `second` in decision mode and in
+// enumeration mode (capped at `max_countermodels` reports) and expects
+// identical outcomes: verdict, states visited, countermodels reported and
+// the countermodel sequence, plus the probe counters when both run the
+// same path. Neither run may exhaust.
+void ExpectSameOutcomes(const NormDb& db, const NormQuery& query,
+                        const DisjunctiveOptions& first,
+                        const DisjunctiveOptions& second,
+                        const std::string& what,
+                        size_t max_countermodels = 64) {
+  for (bool enumerate : {false, true}) {
+    DisjunctiveOutcome outcome[2];
+    std::vector<std::string> sequence[2];
+    for (int run = 0; run < 2; ++run) {
+      DisjunctiveOptions options = run == 0 ? first : second;
+      if (enumerate) {
+        options.on_countermodel = [&, run](const FiniteModel& model) {
+          sequence[run].push_back(model.ToString());
+          return sequence[run].size() < max_countermodels;
+        };
+      }
+      outcome[run] = EntailDisjunctive(db, query, options);
+    }
+    const std::string where =
+        what + (enumerate ? " (enumeration)" : " (decision)");
+    EXPECT_FALSE(outcome[0].exhausted || outcome[1].exhausted) << where;
+    EXPECT_EQ(outcome[0].entailed, outcome[1].entailed) << where;
+    EXPECT_EQ(outcome[0].states_visited, outcome[1].states_visited) << where;
+    EXPECT_EQ(outcome[0].countermodels_reported,
+              outcome[1].countermodels_reported)
+        << where;
+    EXPECT_EQ(sequence[0], sequence[1]) << where;
+    ASSERT_EQ(outcome[0].countermodel.has_value(),
+              outcome[1].countermodel.has_value())
+        << where;
+    if (outcome[0].countermodel.has_value()) {
+      EXPECT_EQ(outcome[0].countermodel->ToString(),
+                outcome[1].countermodel->ToString())
+          << where;
+    }
+    if (first.use_incremental == second.use_incremental) {
+      EXPECT_EQ(outcome[0].check_stats.reach_probes,
+                outcome[1].check_stats.reach_probes)
+          << where;
+      EXPECT_EQ(outcome[0].check_stats.reach_fast_hits,
+                outcome[1].check_stats.reach_fast_hits)
+          << where;
+    }
+  }
+}
+
+// The default path against the use_incremental=false oracle.
+void ExpectMatchesOracle(const NormDb& db, const NormQuery& query,
+                         const std::string& what) {
+  DisjunctiveOptions oracle;
+  oracle.use_incremental = false;
+  ExpectSameOutcomes(db, query, DisjunctiveOptions{}, oracle, what);
+}
+
+// The shape of the wire benchmark's Thm 5.3 reads: 3 chains x 12 points
+// over 4 predicates, 3 disjuncts of length 3; odd seeds add four "!="
+// constraints between nearby points of neighbouring chains, which the
+// search could otherwise place in one group.
+Instance EvalDeepShapeInstance(uint64_t seed) {
+  Rng rng(seed + 53000);
+  auto vocab = std::make_shared<Vocabulary>();
+  MonadicDbParams params;
+  params.num_chains = 3;
+  params.chain_length = 12;
+  params.num_predicates = 4;
+  params.label_probability = 0.5;
+  params.le_probability = 0.2;
+  Database db = RandomMonadicDb(params, vocab, rng);
+  if (seed % 2 == 1) {
+    for (int k = 0; k < 4; ++k) {
+      const int c = k % 2;
+      const int i = rng.UniformInt(0, 11);
+      const int j = std::clamp(i + rng.UniformInt(-1, 1), 0, 11);
+      db.AddNotEqual("c" + std::to_string(c) + "_" + std::to_string(i),
+                     "c" + std::to_string(c + 1) + "_" + std::to_string(j));
+    }
+  }
+  Query query = RandomDisjunctiveSequentialQuery(3, 3, 4, 0.3, 0.2, vocab,
+                                                 rng);
+  Result<NormDb> ndb = Normalize(db);
+  Result<NormQuery> nq = NormalizeQuery(query);
+  IODB_CHECK(ndb.ok());
+  IODB_CHECK(nq.ok());
+  return {std::move(ndb.value()), std::move(nq.value())};
+}
+
+TEST_P(DisjunctiveEngineTest, EvalDeepShapeMaskPathMatchesOracle) {
+  Instance inst = EvalDeepShapeInstance(GetParam());
+  ASSERT_EQ(inst.db.num_points(), 36);
+  ASSERT_EQ(inst.db.inequalities.empty(), GetParam() % 2 == 0);
+  ExpectMatchesOracle(inst.db, inst.query,
+                      "seed " + std::to_string(GetParam()));
+}
+
+// A database of `points` points: two chains of 32 labelled points, then
+// `points - 64` more points (labelled, strictly after c0_31) when
+// `points` > 64, or chains of points / 2 when smaller.
+Instance GateInstance(int points, uint64_t seed, int vocab_padding,
+                      int query_length, int num_disjuncts) {
+  Rng rng(seed + 64000);
+  auto vocab = std::make_shared<Vocabulary>();
+  for (int p = 0; p < vocab_padding; ++p) {
+    vocab->MustAddPredicate("Pad" + std::to_string(p), {Sort::kOrder});
+  }
+  MonadicDbParams params;
+  params.num_chains = 2;
+  params.chain_length = std::min(points, 64) / 2;
+  params.num_predicates = 3;
+  params.label_probability = 0.5;
+  params.le_probability = 0.2;
+  Database db = RandomMonadicDb(params, vocab, rng);
+  std::string prev = "c0_" + std::to_string(params.chain_length - 1);
+  for (int extra = 64; extra < points; ++extra) {
+    std::string name = "x" + std::to_string(extra);
+    db.AddOrder(prev, OrderRel::kLt, name);
+    IODB_CHECK(db.AddFact("P" + std::to_string(extra % 3), {name}).ok());
+    prev = name;
+  }
+  Query query = RandomDisjunctiveSequentialQuery(
+      num_disjuncts, query_length, 3, 0.3, 0.2, vocab, rng);
+  Result<NormDb> ndb = Normalize(db);
+  Result<NormQuery> nq = NormalizeQuery(query);
+  IODB_CHECK(ndb.ok());
+  IODB_CHECK(nq.ok());
+  IODB_CHECK_EQ(ndb.value().num_points(), points);
+  return {std::move(ndb.value()), std::move(nq.value())};
+}
+
+TEST(DisjunctiveMaskGateTest, LabelIdsPastOneWordMatchOracle) {
+  for (int seed = 0; seed < 6; ++seed) {
+    // P0..P2 get ids 64..66: every label needs a second word.
+    Instance inst = GateInstance(24, seed, 64, 3, 2);
+    ASSERT_GT(inst.db.vocab->num_predicates(), 64);
+    ExpectMatchesOracle(inst.db, inst.query,
+                        "label ids >= 64, seed " + std::to_string(seed));
+  }
+}
+
+TEST(DisjunctiveMaskGateTest, WideVocabularyWithSmallIdsMatchesOracle) {
+  for (int seed = 0; seed < 6; ++seed) {
+    // More than 64 predicates declared, but only ids 0..2 in labels.
+    Instance inst = GateInstance(24, seed, 0, 3, 2);
+    inst.db.vocab->MustAddPredicate("Wide", {Sort::kOrder});
+    for (int p = 0; p < 64; ++p) {
+      inst.db.vocab->MustAddPredicate("Late" + std::to_string(p),
+                                      {Sort::kOrder});
+    }
+    ASSERT_GT(inst.db.vocab->num_predicates(), 64);
+    ExpectMatchesOracle(inst.db, inst.query,
+                        "wide vocabulary, seed " + std::to_string(seed));
+  }
+}
+
+TEST(DisjunctiveMaskGateTest, DisjunctOver64OrderVariablesMatchesOracle) {
+  for (int seed = 0; seed < 4; ++seed) {
+    Instance inst = GateInstance(16, seed, 0, 70, 2);
+    int widest = 0;
+    for (const NormConjunct& conjunct : inst.query.disjuncts) {
+      widest = std::max(widest, conjunct.num_order_vars());
+    }
+    ASSERT_GT(widest, 64);
+    ExpectMatchesOracle(inst.db, inst.query,
+                        "70-variable disjuncts, seed " + std::to_string(seed));
+  }
+}
+
+// A path t0 <= ... <= t64 < t65 with P0 only on t65, over a database with
+// no P0: every point matches t0..t64 and must emit t65, so a position mark
+// for t64 that aliased t0's would wrongly kill every group.
+TEST(DisjunctiveMaskGateTest, SixtySixVariablePathMatchesOracle) {
+  auto vocab = std::make_shared<Vocabulary>();
+  DeclareMonadicPredicates(*vocab, 2);
+  Result<Database> db = ParseDatabase("P1(a)\nP1(b)\nP1(c)\na < b\n", vocab);
+  ASSERT_TRUE(db.ok());
+  std::string vars;
+  std::string atoms;
+  for (int t = 0; t <= 65; ++t) {
+    vars += " t" + std::to_string(t);
+    if (t > 0) {
+      atoms += "t" + std::to_string(t - 1) + (t == 65 ? " < " : " <= ") +
+               "t" + std::to_string(t) + " & ";
+    }
+  }
+  Result<Query> query = ParseQuery("exists" + vars + ": " + atoms + "P0(t65)",
+                                   vocab);
+  ASSERT_TRUE(query.ok());
+  Result<NormDb> ndb = Normalize(db.value());
+  Result<NormQuery> nq = NormalizeQuery(query.value());
+  ASSERT_TRUE(ndb.ok());
+  ASSERT_TRUE(nq.ok()) << nq.status().ToString();
+  ASSERT_EQ(nq.value().disjuncts[0].num_order_vars(), 66);
+  EXPECT_FALSE(EntailDisjunctive(ndb.value(), nq.value()).entailed);
+  ExpectMatchesOracle(ndb.value(), nq.value(), "66-variable path");
+}
+
+// Disjuncts whose dags are not paths: a vertex reached both as a "<"
+// successor and through "<=" arcs must be tracked by separate visited and
+// emitted marks, as in AdvanceSet.
+TEST(DisjunctiveMaskGateTest, DagShapedDisjunctsMatchOracle) {
+  const char* kQueries[] = {
+      "exists a b c d: a <= b & b <= c & a < c & c < d & P0(d)"
+      " | exists s t: P1(s) & s < t & P2(t)",
+      "exists a b c d: P3(a) & a <= b & b <= c & a < c & c < d & P1(d)",
+      "exists a b c: a < c & a <= b & b <= c & P2(c)"
+      " | exists s t u: P0(s) & s <= t & t < u & s < u & P3(u)",
+  };
+  for (int seed = 0; seed < 8; ++seed) {
+    for (const char* text : kQueries) {
+      Instance inst = EvalDeepShapeInstance(seed);
+      Result<Query> query = ParseQuery(text, inst.db.vocab);
+      ASSERT_TRUE(query.ok());
+      Result<NormQuery> nq = NormalizeQuery(query.value());
+      ASSERT_TRUE(nq.ok());
+      ExpectMatchesOracle(inst.db, nq.value(),
+                          std::string(text) + ", seed " +
+                              std::to_string(seed));
+    }
+  }
+}
+
+TEST(DisjunctiveMaskGateTest, SixtyFourAndSixtyFivePointsMatchOracle) {
+  for (int seed = 0; seed < 4; ++seed) {
+    for (int points : {64, 65}) {
+      Instance inst = GateInstance(points, seed, 0, 3, 3);
+      ExpectMatchesOracle(inst.db, inst.query,
+                          std::to_string(points) + " points, seed " +
+                              std::to_string(seed));
+    }
+  }
+}
+
+TEST(DisjunctiveMaskGateTest, UntrippedBudgetIsBitIdentical) {
+  for (int seed = 0; seed < 8; ++seed) {
+    Instance inst = EvalDeepShapeInstance(seed);
+    ExecBudget budget;
+    budget.SetDeadlineAfterMs(60 * 1000);
+    budget.SetStepLimit(1LL << 40);
+    DisjunctiveOptions governed;
+    governed.budget = &budget;
+    ExpectSameOutcomes(inst.db, inst.query, DisjunctiveOptions{}, governed,
+                       "governed, seed " + std::to_string(seed));
+  }
+}
+
+TEST(DisjunctiveMaskGateTest, TrippedStepLimitReportsExhausted) {
+  for (int seed = 0; seed < 8; ++seed) {
+    Instance inst = EvalDeepShapeInstance(seed);
+    DisjunctiveOutcome full = EntailDisjunctive(inst.db, inst.query);
+    ExecBudget budget;
+    budget.SetStepLimit(full.states_visited / 2);
+    DisjunctiveOptions options;
+    options.budget = &budget;
+    DisjunctiveOutcome cut = EntailDisjunctive(inst.db, inst.query, options);
+    const std::string where = "seed " + std::to_string(seed);
+    // Steps count states and group candidates, so a limit of half the
+    // states trips before the search could finish.
+    EXPECT_TRUE(cut.exhausted) << where;
+    EXPECT_LT(cut.states_visited, full.states_visited) << where;
+    EXPECT_EQ(cut.countermodels_reported, 0) << where;
+  }
 }
 
 class LargeInstanceTest : public ::testing::TestWithParam<int> {};
