@@ -39,7 +39,7 @@ void BM_Thm47_DbSweepAtWidth2(benchmark::State& state) {
   Instance inst = Make(2, static_cast<int>(state.range(0)), 53);
   long long states = 0;
   for (auto _ : state) {
-    BoundedWidthOutcome outcome = EntailBoundedWidth(inst.db, inst.conjunct);
+    EngineOutcome outcome = EntailBoundedWidth(inst.db, inst.conjunct);
     states = outcome.states_visited;
     benchmark::DoNotOptimize(outcome.entailed);
   }
@@ -57,7 +57,7 @@ void BM_Thm47_WidthSweep(benchmark::State& state) {
   Instance inst = Make(k, 24 / k, 59);
   long long states = 0;
   for (auto _ : state) {
-    BoundedWidthOutcome outcome = EntailBoundedWidth(inst.db, inst.conjunct);
+    EngineOutcome outcome = EntailBoundedWidth(inst.db, inst.conjunct);
     states = outcome.states_visited;
     benchmark::DoNotOptimize(outcome.entailed);
   }

@@ -43,7 +43,7 @@ void BM_Thm53_DisjunctSweep(benchmark::State& state) {
   Instance inst = Make(2, 8, static_cast<int>(state.range(0)), 61);
   long long states = 0;
   for (auto _ : state) {
-    DisjunctiveOutcome outcome = EntailDisjunctive(inst.db, inst.query);
+    EngineOutcome outcome = EntailDisjunctive(inst.db, inst.query);
     states = outcome.states_visited;
     benchmark::DoNotOptimize(outcome.entailed);
   }
@@ -58,7 +58,7 @@ void BM_Thm53_WidthSweep(benchmark::State& state) {
   Instance inst = Make(k, 16 / k, 2, 67);
   long long states = 0;
   for (auto _ : state) {
-    DisjunctiveOutcome outcome = EntailDisjunctive(inst.db, inst.query);
+    EngineOutcome outcome = EntailDisjunctive(inst.db, inst.query);
     states = outcome.states_visited;
     benchmark::DoNotOptimize(outcome.entailed);
   }
@@ -89,11 +89,11 @@ void BM_Thm53_CountermodelEnumeration(benchmark::State& state) {
   long long total = 0;
   for (auto _ : state) {
     long long count = 0;
-    DisjunctiveOptions options;
-    options.on_countermodel = [&](const FiniteModel&) {
+    EngineContext context;
+    context.on_countermodel = [&](const FiniteModel&) {
       return ++count < 2000;
     };
-    EntailDisjunctive(inst.db, inst.query, options);
+    EntailDisjunctive(inst.db, inst.query, context);
     total += count;
     benchmark::DoNotOptimize(count);
   }
@@ -141,10 +141,9 @@ void BM_Thm53_EvalDeepShape(benchmark::State& state) {
     const auto start = std::chrono::steady_clock::now();
     ExecBudget budget;
     budget.SetDeadlineAfterMs(2000);
-    DisjunctiveOptions options;
-    options.budget = &budget;
-    DisjunctiveOutcome outcome = EntailDisjunctive(inst.db, inst.query,
-                                                   options);
+    EngineContext context;
+    context.budget = &budget;
+    EngineOutcome outcome = EntailDisjunctive(inst.db, inst.query, context);
     elapsed += std::chrono::steady_clock::now() - start;
     IODB_CHECK(!outcome.exhausted);
     states = outcome.states_visited;

@@ -30,7 +30,7 @@ int main() {
   IODB_CHECK(forbidden.ok());
 
   // Decide: does every execution hit the forbidden pattern?
-  DisjunctiveOutcome verdict = EntailDisjunctive(db.value(), forbidden.value());
+  EngineOutcome verdict = EntailDisjunctive(db.value(), forbidden.value());
   if (verdict.entailed) {
     std::printf("Every execution violates the constraint: replan needed.\n");
     return 0;
@@ -40,15 +40,15 @@ int main() {
   std::printf("Valid schedules (first 10 shown):\n");
   long long shown = 0;
   std::set<std::string> seen;  // the enumeration may revisit a schedule
-  DisjunctiveOptions options;
-  options.on_countermodel = [&](const FiniteModel& model) {
+  EngineContext context;
+  context.on_countermodel = [&](const FiniteModel& model) {
     std::string rendered = model.ToString();
     if (seen.insert(rendered).second) {
       std::printf("  %2lld. %s\n", ++shown, rendered.c_str());
     }
     return shown < 10;
   };
-  EntailDisjunctive(db.value(), forbidden.value(), options);
+  EntailDisjunctive(db.value(), forbidden.value(), context);
   std::printf("\n(Each line is one linearization of the plan in which no\n"
               "Release precedes an Acquire.)\n");
   return 0;

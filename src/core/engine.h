@@ -18,8 +18,8 @@
 #include <string>
 
 #include "core/database.h"
+#include "core/engine_context.h"
 #include "core/model.h"
-#include "core/model_check.h"
 #include "core/query.h"
 #include "core/semantics.h"
 #include "util/budget.h"
@@ -62,25 +62,15 @@ struct EntailOptions {
   std::shared_ptr<const QueryPlanner> planner;
 };
 
-/// Result of an entailment check.
-struct EntailResult {
+/// Result of an entailment check: the verdict plus the work counters of
+/// the engine that produced it (EngineCounters, core/engine_context.h).
+struct EntailResult : EngineCounters {
   bool entailed = false;
   /// The engine that produced the verdict.
   EngineKind engine_used = EngineKind::kAuto;
   /// A falsifying minimal model, when not entailed and requested (brute
   /// force, bounded-width and disjunctive engines provide one).
   std::optional<FiniteModel> countermodel;
-  /// Work counters (meaning depends on the engine).
-  long long states_visited = 0;
-  long long models_enumerated = 0;
-  /// Incremental-core counters (brute-force engine): group push/pop
-  /// operations of the in-place model builder.
-  long long groups_pushed = 0;
-  long long groups_popped = 0;
-  /// Model-check counters summed over every prefix/model check (brute
-  /// force; zero for the monadic automata engines, which never
-  /// materialize models during the decision).
-  ModelCheckStats check_stats;
 };
 
 /// Decides db |= query under the chosen semantics. Fails with

@@ -20,53 +20,26 @@
 #ifndef IODB_CORE_ENTAIL_BOUNDED_WIDTH_H_
 #define IODB_CORE_ENTAIL_BOUNDED_WIDTH_H_
 
-#include <optional>
-
 #include "core/database.h"
-#include "core/model.h"
-#include "core/model_check.h"
+#include "core/engine_context.h"
 #include "core/query.h"
-#include "util/budget.h"
 
 namespace iodb {
 
-/// Outcome of the Theorem 4.7 engine.
-struct BoundedWidthOutcome {
-  bool entailed = true;
-  /// The ExecBudget tripped before the search finished and no definite
-  /// verdict was reached; `entailed` must be ignored. A countermodel
-  /// found before the trip is still reported as a definite "not
-  /// entailed" (exhausted stays false then).
-  bool exhausted = false;
-  long long states_visited = 0;
-  /// When not entailed and requested: a minimal model falsifying the
-  /// query, reconstructed from the SEQ countermodel construction along
-  /// the successful reachability path.
-  std::optional<FiniteModel> countermodel;
-  /// Reachability-probe counters of the incremental path (zeroes under
-  /// the oracle path, which predates the counting seam).
-  ModelCheckStats check_stats;
-};
-
 /// Decides db |= conjunct for a monadic-order-only conjunct over a
-/// database without inequality constraints. `already_reduced` skips the
-/// internal transitive reduction when the caller passes a conjunct that
-/// is already reduced (PreparedQuery memoizes the reduction at Prepare()
-/// time so repeated evaluations don't pay it). `use_incremental` routes
-/// minor/minimal tests through the database's shared reachability context
-/// (single-word masks for at most 64 points, incrementally maintained
-/// in-degree counters otherwise) instead of recomputing them per state
-/// from the dag; false runs the original path, kept as the differential
-/// oracle. Both paths visit the same states in the same order. `budget`,
-/// when non-null, is charged once per search state; on a trip the
-/// outcome reports `exhausted` (partially explored states are never
-/// memoized as failed, so a re-run starts sound).
-BoundedWidthOutcome EntailBoundedWidth(const NormDb& db,
-                                       const NormConjunct& conjunct,
-                                       bool want_countermodel = false,
-                                       bool already_reduced = false,
-                                       bool use_incremental = true,
-                                       ExecBudget* budget = nullptr);
+/// database without inequality constraints. Minor/minimal tests run on
+/// the database's shared reachability context: single-word masks for at
+/// most 64 points, incrementally maintained in-degree counters otherwise
+/// (the from-dag search is the oracle in tests/oracle/; all three visit
+/// the same states in the same order). Uses the context's budget
+/// (charged once per search state; partially explored states are never
+/// memoized as failed, so a re-run starts sound), countermodel request
+/// (a minimal model reconstructed from the SEQ countermodel construction
+/// along the successful reachability path), `already_reduced` and order
+/// source. `states_visited` counts search states.
+EngineOutcome EntailBoundedWidth(const NormDb& db,
+                                 const NormConjunct& conjunct,
+                                 const EngineContext& context = {});
 
 }  // namespace iodb
 

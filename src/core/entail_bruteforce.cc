@@ -6,86 +6,30 @@
 
 #include "core/minimal_models.h"
 #include "core/model_builder.h"
+#include "core/model_matcher.h"
 #include "util/parallel.h"
 
 namespace iodb {
 namespace {
 
-// Legacy reference path: rebuild the prefix model from scratch per group
-// append and run the generic checker. Kept verbatim as the oracle for the
-// differential test suite.
-BruteForceOutcome EntailRebuildPerModel(const NormDb& db,
-                                        const NormQuery& query,
-                                        const BruteForceOptions& options) {
-  BruteForceOutcome outcome;
-  ModelVisitor visitor;
-  std::vector<std::vector<int>> prefix;
-  visitor.on_group = [&](int depth, const std::vector<int>& group) {
-    if (options.budget != nullptr && !options.budget->Charge()) {
-      outcome.exhausted = true;
-      return false;
-    }
-    if (options.prune_satisfied_prefix) {
-      prefix.resize(depth);
-      prefix.push_back(group);
-      FiniteModel model = BuildPrefixModel(db, prefix);
-      if (Satisfies(model, query, &outcome.check_stats)) {
-        ++outcome.prefixes_pruned;
-        return false;  // no countermodel below a satisfied prefix
-      }
-    }
-    return true;
-  };
-  visitor.on_model = [&](const std::vector<std::vector<int>>& groups) {
-    if (options.budget != nullptr && !options.budget->Charge()) {
-      outcome.exhausted = true;
-      return false;
-    }
-    ++outcome.models_enumerated;
-    FiniteModel model = BuildMinimalModel(db, groups);
-    // With pruning on, every level of this sort was already checked and
-    // found unsatisfied — the complete model is a countermodel. Without
-    // pruning, check now.
-    bool satisfied = options.prune_satisfied_prefix
-                         ? false
-                         : Satisfies(model, query, &outcome.check_stats);
-    if (!satisfied) {
-      outcome.entailed = false;
-      outcome.countermodel = std::move(model);
-      return false;
-    }
-    if (options.max_models >= 0 &&
-        outcome.models_enumerated >= options.max_models) {
-      outcome.limit_hit = true;
-      return false;
-    }
-    return true;
-  };
-  ForEachMinimalModel(db, visitor);
-  return outcome;
-}
-
 // One incremental enumeration run: serial, optionally restricted to the
 // subtree below `prefix` (empty = whole forest), optionally aborting when
-// `aborted` fires (cross-worker early exit). `context`, when given, is
-// the shared read-only enumeration state (the parallel engine builds it
-// once instead of once per subtree).
-BruteForceOutcome RunIncremental(const NormDb& db, const NormQuery& query,
-                                 const BruteForceOptions& options,
-                                 const EnumerationContext* context,
-                                 const std::vector<std::vector<int>>& prefix,
-                                 const std::function<bool()>& aborted) {
-  BruteForceOutcome outcome;
+// `aborted` fires (cross-worker early exit). `order` is the shared
+// read-only enumeration state.
+EngineOutcome RunIncremental(const NormDb& db, const NormQuery& query,
+                             const EngineContext& context,
+                             const EnumerationContext& order,
+                             const std::vector<std::vector<int>>& prefix,
+                             const std::function<bool()>& aborted) {
+  EngineOutcome outcome;
   ModelBuilder builder(db);
-  QueryMatcher matcher(query, options.compiled);
+  QueryMatcher matcher(query, context.compiled);
 
-  // Push (and with pruning on, check) the seeded prefix groups.
+  // Push and check the seeded prefix groups.
   for (const std::vector<int>& group : prefix) {
     builder.PushGroup(builder.depth(), group);
-    if (options.prune_satisfied_prefix &&
-        matcher.Matches(builder.view(), &builder.index(),
+    if (matcher.Matches(builder.view(), &builder.index(),
                         &outcome.check_stats)) {
-      ++outcome.prefixes_pruned;
       outcome.groups_pushed = builder.groups_pushed();
       outcome.groups_popped = builder.groups_popped();
       return outcome;  // the whole subtree is satisfied
@@ -96,78 +40,57 @@ BruteForceOutcome RunIncremental(const NormDb& db, const NormQuery& query,
   visitor.stats = &outcome.check_stats;
   visitor.on_group = [&](int depth, const std::vector<int>& group) {
     if (aborted != nullptr && aborted()) return false;
-    if (options.budget != nullptr && !options.budget->Charge()) {
+    if (context.budget != nullptr && !context.budget->Charge()) {
       outcome.exhausted = true;
       return false;
     }
     builder.PushGroup(depth, group);
-    if (options.prune_satisfied_prefix &&
-        matcher.Matches(builder.view(), &builder.index(),
-                        &outcome.check_stats)) {
-      ++outcome.prefixes_pruned;
-      return false;
-    }
-    return true;
+    // No countermodel below a satisfied prefix.
+    return !matcher.Matches(builder.view(), &builder.index(),
+                            &outcome.check_stats);
   };
   visitor.on_model = [&](const std::vector<std::vector<int>>& groups) {
     if (aborted != nullptr && aborted()) return false;
-    if (options.budget != nullptr && !options.budget->Charge()) {
+    if (context.budget != nullptr && !context.budget->Charge()) {
       outcome.exhausted = true;
       return false;
     }
     ++outcome.models_enumerated;
-    // The builder tracked every on_group append, so the complete model is
-    // already materialized and indexed — no rebuild.
+    // Every level of this sort was checked and found unsatisfied, so the
+    // complete model — already materialized and indexed by the builder —
+    // is a countermodel.
     builder.PopToDepth(static_cast<int>(groups.size()));
-    bool satisfied =
-        options.prune_satisfied_prefix
-            ? false
-            : matcher.Matches(builder.view(), &builder.index(),
-                              &outcome.check_stats);
-    if (!satisfied) {
-      outcome.entailed = false;
-      outcome.countermodel = builder.Snapshot();
+    outcome.entailed = false;
+    if (context.on_countermodel == nullptr) {
+      if (context.want_countermodel) outcome.countermodel = builder.Snapshot();
       return false;
     }
-    if (options.max_models >= 0 &&
-        outcome.models_enumerated >= options.max_models) {
-      outcome.limit_hit = true;
-      return false;
+    FiniteModel model = builder.Snapshot();
+    if (context.want_countermodel && !outcome.countermodel.has_value()) {
+      outcome.countermodel = model;
     }
-    return true;
+    return context.on_countermodel(model);
   };
-  if (context != nullptr) {
-    ForEachMinimalModelFrom(db, *context, prefix, visitor);
-  } else if (prefix.empty()) {
-    ForEachMinimalModel(db, visitor);
-  } else {
-    ForEachMinimalModelFrom(db, prefix, visitor);
-  }
+  ForEachMinimalModelFrom(db, order, prefix, visitor);
   outcome.groups_pushed = builder.groups_pushed();
   outcome.groups_popped = builder.groups_popped();
   return outcome;
 }
 
-void MergeCounters(BruteForceOutcome& into, const BruteForceOutcome& from) {
+void MergeCounters(EngineOutcome& into, const EngineOutcome& from) {
   into.models_enumerated += from.models_enumerated;
-  into.prefixes_pruned += from.prefixes_pruned;
   into.groups_pushed += from.groups_pushed;
   into.groups_popped += from.groups_popped;
   into.check_stats.Accumulate(from.check_stats);
-  into.limit_hit = into.limit_hit || from.limit_hit;
   into.exhausted = into.exhausted || from.exhausted;
 }
 
-// Root-sharded parallel search: one task per first-group choice.
-BruteForceOutcome EntailParallel(const NormDb& db, const NormQuery& query,
-                                 const BruteForceOptions& options) {
-  // The read-only enumeration state (reachability index + derived masks)
-  // is built once per database and shared by the root collection and
-  // every subtree worker. Building it here, before any worker spawns,
-  // satisfies the lazy-fill thread contract.
-  std::shared_ptr<const EnumerationContext> context =
-      SharedEnumerationContext(db);
-
+// Root-sharded parallel search: one task per first-group choice. The
+// read-only enumeration state is built before any worker spawns, which
+// satisfies the lazy-fill thread contract.
+EngineOutcome EntailParallel(const NormDb& db, const NormQuery& query,
+                             const EngineContext& context,
+                             const EnumerationContext& order) {
   // Collect the first-level groups; each is the root of an independent
   // enumeration subtree. The depth-0 probes are counted once, here (the
   // subtree workers seed past depth 0), so an entailed parallel run
@@ -184,12 +107,12 @@ BruteForceOutcome EntailParallel(const NormDb& db, const NormQuery& query,
   collect.on_model = [](const std::vector<std::vector<int>>&) {
     return true;
   };
-  ForEachMinimalModelFrom(db, *context, {}, collect);
+  ForEachMinimalModelFrom(db, order, {}, collect);
 
   if (roots.size() <= 1) {
     // Whole forest in one serial run; drop the collection pass counters
     // (that run re-traverses depth 0 itself).
-    return RunIncremental(db, query, options, context.get(), {}, nullptr);
+    return RunIncremental(db, query, context, order, {}, nullptr);
   }
 
   // Lowest subtree index that produced a countermodel so far. A subtree k
@@ -198,8 +121,8 @@ BruteForceOutcome EntailParallel(const NormDb& db, const NormQuery& query,
   // first countermodel of the lowest-indexed subtree containing any:
   // exactly what the serial search reports.
   std::atomic<int> found_min{std::numeric_limits<int>::max()};
-  std::vector<BruteForceOutcome> outcomes(roots.size());
-  ParallelFor(static_cast<int>(roots.size()), options.num_threads,
+  std::vector<EngineOutcome> outcomes(roots.size());
+  ParallelFor(static_cast<int>(roots.size()), context.num_threads,
               [&](int k) {
                 if (found_min.load(std::memory_order_relaxed) < k) {
                   return;  // a lower subtree already holds the verdict
@@ -207,7 +130,7 @@ BruteForceOutcome EntailParallel(const NormDb& db, const NormQuery& query,
                 auto aborted = [&found_min, k]() {
                   return found_min.load(std::memory_order_relaxed) < k;
                 };
-                outcomes[k] = RunIncremental(db, query, options, context.get(),
+                outcomes[k] = RunIncremental(db, query, context, order,
                                              {roots[k]}, aborted);
                 if (!outcomes[k].entailed) {
                   int seen = found_min.load(std::memory_order_relaxed);
@@ -218,7 +141,7 @@ BruteForceOutcome EntailParallel(const NormDb& db, const NormQuery& query,
                 }
               });
 
-  BruteForceOutcome merged;
+  EngineOutcome merged;
   merged.check_stats.Accumulate(root_stats);
   const int winner = found_min.load(std::memory_order_relaxed);
   for (size_t k = 0; k < outcomes.size(); ++k) {
@@ -236,18 +159,19 @@ BruteForceOutcome EntailParallel(const NormDb& db, const NormQuery& query,
 
 }  // namespace
 
-BruteForceOutcome EntailBruteForce(const NormDb& db, const NormQuery& query,
-                                   const BruteForceOptions& options) {
-  if (query.trivially_true) return BruteForceOutcome{};
-  if (options.compiled != nullptr) {
-    IODB_CHECK_EQ(options.compiled->size(), query.disjuncts.size());
+EngineOutcome EntailBruteForce(const NormDb& db, const NormQuery& query,
+                               const EngineContext& context) {
+  if (query.trivially_true) return EngineOutcome{};
+  if (context.compiled != nullptr) {
+    IODB_CHECK_EQ(context.compiled->size(), query.disjuncts.size());
   }
-  if (!options.use_incremental) return EntailRebuildPerModel(db, query, options);
-  // A model budget is a global counter; sharding would make it racy.
-  if (options.num_threads > 1 && options.max_models < 0) {
-    return EntailParallel(db, query, options);
+  std::shared_ptr<const EnumerationContext> order =
+      EngineOrderContext(db, context.order);
+  // Enumeration reports in serial order, so only decisions are sharded.
+  if (context.num_threads > 1 && context.on_countermodel == nullptr) {
+    return EntailParallel(db, query, context, *order);
   }
-  return RunIncremental(db, query, options, nullptr, {}, nullptr);
+  return RunIncremental(db, query, context, *order, {}, nullptr);
 }
 
 }  // namespace iodb

@@ -41,11 +41,10 @@ struct Engine {
 
   const NormDb& db;
   const NormQuery& query;
-  const DisjunctiveOptions& options;
-  DisjunctiveOutcome outcome;
-  // Oracle path: per-call closure. Incremental path: the database's
-  // shared context (interval index + masks when num_points <= 64).
-  std::optional<Reachability> reach;
+  const EngineContext& context;
+  EngineOutcome outcome;
+  // The database's reachability context: masks at <= 64 points, the
+  // interval index above (the differential tests inject a closure).
   std::shared_ptr<const EnumerationContext> ctx;
   bool fast = false;  // mask fast path active
   ReachProbeStats rstats;
@@ -72,22 +71,16 @@ struct Engine {
   // sticky exhausted flag and the stop flag so every loop unwinds (and,
   // via the existing `!stop` guards, nothing half-explored is memoized).
   bool ChargeBudget() {
-    if (options.budget == nullptr || options.budget->Charge()) return true;
+    if (context.budget == nullptr || context.budget->Charge()) return true;
     exhausted = true;
     stop = true;
     return false;
   }
 
-  Engine(const NormDb& d, const NormQuery& q, const DisjunctiveOptions& o)
-      : db(d), query(q), options(o) {
-    if (options.use_incremental) {
-      ctx = SharedEnumerationContext(db);
-      fast = ctx->has_masks &&
-             query.disjuncts.size() <= kMaxPackedDisjuncts &&
-             InitMaskPath();
-    } else {
-      reach.emplace(ComputeReachability(d.dag));
-    }
+  Engine(const NormDb& d, const NormQuery& q, const EngineContext& c)
+      : db(d), query(q), context(c), ctx(EngineOrderContext(d, c.order)) {
+    fast = ctx->has_masks &&
+           query.disjuncts.size() <= kMaxPackedDisjuncts && InitMaskPath();
   }
 
   // The label as one word; false when it holds a predicate id >= 64.
@@ -126,19 +119,6 @@ struct Engine {
     for (Frame& frame : frames) frame.advance.resize(advance_capacity);
     group_stack.resize(db.num_points());
     return true;
-  }
-
-  bool Comparable(int u, int v) {
-    if (reach.has_value()) {
-      return reach->reach.Get(u, v) || reach->reach.Get(v, u);
-    }
-    return ctx->Comparable(u, v, &rstats);
-  }
-
-  // Weak order-reachability m -> a (true when m == a).
-  bool Reaches(int m, int a) {
-    if (reach.has_value()) return reach->reach.Get(m, a);
-    return ctx->Reaches(m, a, &rstats);
   }
 
   std::vector<bool> AliveFrom(const std::vector<int>& s) const {
@@ -203,16 +183,19 @@ struct Engine {
   // Reports the current complete sort as a countermodel; sets `stop` when
   // the search should not look for more.
   void ReportCounter() {
-    ++outcome.countermodels_reported;
-    FiniteModel model = BuildMinimalModel(db, groups);
-    if (outcome.entailed) {
-      outcome.entailed = false;
-      outcome.countermodel = model;
-    }
+    const bool first = outcome.entailed;
+    outcome.entailed = false;
     // Decision mode (no callback): the first countermodel suffices.
-    if (options.on_countermodel == nullptr || !options.on_countermodel(model)) {
+    if (context.on_countermodel == nullptr) {
+      if (context.want_countermodel) {
+        outcome.countermodel = BuildMinimalModel(db, groups);
+      }
       stop = true;
+      return;
     }
+    FiniteModel model = BuildMinimalModel(db, groups);
+    if (first && context.want_countermodel) outcome.countermodel = model;
+    if (!context.on_countermodel(model)) stop = true;
   }
 
   // Entry point: dispatches the initial state to the active path.
@@ -226,7 +209,8 @@ struct Engine {
   }
 
   // ---------------------------------------------------------------------
-  // General path (oracle closure, or interval probes for > 64 points).
+  // General path: per-pair probes (interval index past 64 points, the
+  // masks when the word gate fails, the closure under the test oracle).
   // ---------------------------------------------------------------------
 
   // Search for a completion of region S falsifying all disjunct paths.
@@ -264,7 +248,7 @@ struct Engine {
       int v = candidates[i];
       bool independent = true;
       for (int u : chosen) {
-        if (Comparable(u, v)) {
+        if (ctx->Comparable(u, v, &rstats)) {
           independent = false;
           break;
         }
@@ -286,7 +270,7 @@ struct Engine {
     PredSet point_label(db.vocab->num_predicates());
     for (int m : minors) {
       for (int a : chosen) {
-        if (Reaches(m, a)) {
+        if (ctx->Reaches(m, a, &rstats)) {
           group.push_back(m);
           point_label.UnionWith(db.labels[m]);
           break;
@@ -505,28 +489,26 @@ struct Engine {
 
 }  // namespace
 
-DisjunctiveOutcome EntailDisjunctive(const NormDb& db,
-                                     const NormQuery& raw_query,
-                                     const DisjunctiveOptions& options) {
+EngineOutcome EntailDisjunctive(const NormDb& db, const NormQuery& raw_query,
+                                const EngineContext& context) {
   IODB_CHECK(raw_query.IsMonadicOrderOnly());
 
-  DisjunctiveOutcome trivial;
-  if (raw_query.trivially_true) return trivial;
+  if (raw_query.trivially_true) return EngineOutcome{};
 
   // Drop redundant query atoms so per-disjunct path automata track only
   // maximal paths (see TransitiveReduceConjunct) — unless the caller's
   // plan already holds the reduced disjuncts (memoized at prepare time).
   NormQuery reduced_storage;
-  if (!options.already_reduced) {
+  if (!context.already_reduced) {
     reduced_storage.vocab = raw_query.vocab;
     for (const NormConjunct& conjunct : raw_query.disjuncts) {
       reduced_storage.disjuncts.push_back(TransitiveReduceConjunct(conjunct));
     }
   }
   const NormQuery& query =
-      options.already_reduced ? raw_query : reduced_storage;
+      context.already_reduced ? raw_query : reduced_storage;
 
-  Engine engine(db, query, options);
+  Engine engine(db, query, context);
 
   // Initial per-disjunct positions: a minimal vertex of each disjunct dag.
   // A disjunct without order variables is the empty conjunction and makes
@@ -541,11 +523,7 @@ DisjunctiveOutcome EntailDisjunctive(const NormDb& db,
   if (db.num_points() == 0) {
     // The unique minimal model is empty; every disjunct (which needs at
     // least one point) is falsified.
-    engine.outcome.entailed = false;
-    FiniteModel model = BuildMinimalModel(db, {});
-    engine.outcome.countermodel = model;
-    engine.outcome.countermodels_reported = 1;
-    if (options.on_countermodel != nullptr) options.on_countermodel(model);
+    engine.ReportCounter();
     return engine.outcome;
   }
 
@@ -568,8 +546,7 @@ DisjunctiveOutcome EntailDisjunctive(const NormDb& db,
   product(0);
   engine.outcome.exhausted = engine.exhausted;
   engine.outcome.check_stats.AddReachProbes(engine.rstats);
-  engine.outcome.check_stats.index_rebuilds =
-      engine.ctx != nullptr ? engine.ctx->index_rebuilds() : 0;
+  engine.outcome.check_stats.index_rebuilds = engine.ctx->index_rebuilds();
   return engine.outcome;
 }
 

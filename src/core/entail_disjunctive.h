@@ -21,72 +21,42 @@
 // countermodel. Failure states are memoized, so deciding entailment stays
 // within the paper's bound and enumeration has (amortized) polynomial
 // delay between outputs, mirroring the paper's remark after Theorem 5.3.
+//
+// Production runs on the database's shared reachability context. The
+// search itself takes one of two forms with the same state space, group
+// order and countermodel sequence: a word-mask form when the database
+// has at most 64 points, the query at most 5 disjuncts, every label
+// predicate id is below 64 and every disjunct has at most 64 order
+// variables (regions, groups, labels and path-position marks are single
+// machine words, and the loop allocates only to memoize failed states);
+// otherwise a general form with per-pair probes (interval probes past 64
+// points). The differential tests run the general form on an injected
+// closure-backed context as the oracle (tests/oracle/).
 
 #ifndef IODB_CORE_ENTAIL_DISJUNCTIVE_H_
 #define IODB_CORE_ENTAIL_DISJUNCTIVE_H_
 
-#include <functional>
-#include <optional>
-
 #include "core/database.h"
-#include "core/model.h"
-#include "core/model_check.h"
+#include "core/engine_context.h"
 #include "core/query.h"
-#include "util/budget.h"
 
 namespace iodb {
-
-/// Options for the disjunctive engine.
-struct DisjunctiveOptions {
-  /// When set, every countermodel found is reported (the same model may be
-  /// reported more than once, reached through different path choices — the
-  /// paper's enumeration has the same redundancy). Return false to stop.
-  /// When unset, the search stops at the first countermodel.
-  std::function<bool(const FiniteModel&)> on_countermodel;
-  /// The query's disjuncts are already transitively reduced; skip the
-  /// per-call reduction (PreparedQuery memoizes it at Prepare() time).
-  bool already_reduced = false;
-  /// Route order tests through the database's shared reachability context.
-  /// The word-mask fast path serves databases of at most 64 points and
-  /// queries of at most 5 disjuncts, every label predicate id below 64 and
-  /// at most 64 order variables per disjunct: regions, groups, labels and
-  /// path-position marks are single machine words, and the search loop
-  /// allocates only to memoize failed states. Anything else takes the general search with
-  /// per-pair probes (interval probes past 64 points). False runs
-  /// the original per-call closure path, kept as the differential oracle.
-  /// All paths visit the same states and report countermodels in the same
-  /// sequence.
-  bool use_incremental = true;
-  /// Optional execution budget, charged once per search state and once
-  /// per group candidate tried. Null (the default) is the zero-overhead
-  /// ungoverned path. On a trip the outcome reports `exhausted`;
-  /// partially explored states are never memoized as failed.
-  ExecBudget* budget = nullptr;
-};
-
-/// Outcome of the disjunctive engine.
-struct DisjunctiveOutcome {
-  bool entailed = true;
-  /// The ExecBudget tripped before the search finished. In decision mode
-  /// this implies no countermodel was found and `entailed` must be
-  /// ignored. In enumeration mode countermodels reported before the trip
-  /// are genuine but the enumeration (and any count) is incomplete.
-  bool exhausted = false;
-  long long states_visited = 0;
-  long long countermodels_reported = 0;
-  std::optional<FiniteModel> countermodel;
-  /// Reachability-probe counters of the incremental path (zeroes under
-  /// the oracle path, which predates the counting seam).
-  ModelCheckStats check_stats;
-};
 
 /// Decides db |= query for a monadic-order-only query (every disjunct).
 /// Databases MAY carry "!=" constraints: per the Section 7 remark, the
 /// sorting procedure is modified so that a group never identifies two
 /// points declared unequal, preserving the O(|D|^{2k}·|Φ|^l) bound for
 /// monadic [<,<=]-queries over [<,<=,!=]-databases of width k.
-DisjunctiveOutcome EntailDisjunctive(const NormDb& db, const NormQuery& query,
-                                     const DisjunctiveOptions& options = {});
+///
+/// Uses the context's budget (charged once per search state and once per
+/// group candidate; partially explored states are never memoized as
+/// failed), countermodel request, callback, `already_reduced` and order
+/// source. With a callback every countermodel found is reported; the
+/// same model may be reported more than once, reached through different
+/// path choices (the paper's enumeration has the same redundancy).
+/// `states_visited` counts search states.
+EngineOutcome EntailDisjunctive(const NormDb& db, const NormQuery& query,
+                                const EngineContext& context = {});
 
 }  // namespace iodb
 

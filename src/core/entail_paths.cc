@@ -1,25 +1,33 @@
 #include "core/entail_paths.h"
 
+#include "core/entail_bounded_width.h"
+#include "core/flexiword.h"
+#include "core/seq.h"
+
 namespace iodb {
 
-PathEngineOutcome EntailByPaths(const NormDb& db,
-                                const NormConjunct& conjunct,
-                                ExecBudget* budget) {
+EngineOutcome EntailByPaths(const NormDb& db, const NormConjunct& conjunct,
+                            const EngineContext& context) {
   IODB_CHECK(conjunct.IsMonadicOrderOnly());
-  PathEngineOutcome outcome;
+  EngineOutcome outcome;
   ForEachPath(conjunct.dag, conjunct.labels, [&](const FlexiWord& path) {
-    if (budget != nullptr && !budget->Charge()) {
+    if (context.budget != nullptr && !context.budget->Charge()) {
       outcome.exhausted = true;
       return false;
     }
-    ++outcome.paths_checked;
-    if (!SeqEntails(db, path, &outcome.seq_stats)) {
+    ++outcome.states_visited;
+    if (!SeqEntails(db, path)) {
       outcome.entailed = false;
-      outcome.failing_path = path;
       return false;
     }
     return true;
   });
+  if (!outcome.entailed && context.want_countermodel) {
+    EngineOutcome witness = EntailBoundedWidth(db, conjunct, context);
+    IODB_CHECK(witness.exhausted || !witness.entailed);
+    outcome.exhausted = witness.exhausted;
+    outcome.countermodel = std::move(witness.countermodel);
+  }
   return outcome;
 }
 

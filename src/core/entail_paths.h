@@ -9,35 +9,20 @@
 #ifndef IODB_CORE_ENTAIL_PATHS_H_
 #define IODB_CORE_ENTAIL_PATHS_H_
 
-#include <optional>
-
 #include "core/database.h"
-#include "core/flexiword.h"
+#include "core/engine_context.h"
 #include "core/query.h"
-#include "core/seq.h"
-#include "util/budget.h"
 
 namespace iodb {
 
-/// Outcome of the path-decomposition engine.
-struct PathEngineOutcome {
-  bool entailed = true;
-  /// The ExecBudget tripped before every path was checked and no failing
-  /// path had been found; `entailed` must be ignored. A failing path
-  /// found before the trip stays a definite "not entailed".
-  bool exhausted = false;
-  long long paths_checked = 0;
-  /// A path of the query not entailed by the database, when not entailed.
-  std::optional<FlexiWord> failing_path;
-  SeqStats seq_stats;
-};
-
 /// Decides db |= conjunct for a monadic-order-only conjunct. Paths are
-/// enumerated lazily; the engine stops at the first failing path.
-/// `budget`, when non-null, is charged once per path checked.
-PathEngineOutcome EntailByPaths(const NormDb& db,
-                                const NormConjunct& conjunct,
-                                ExecBudget* budget = nullptr);
+/// enumerated lazily and the engine stops at the first failing path;
+/// `states_visited` counts the paths checked and the budget is charged
+/// once per path. SEQ proves non-entailment without a witness, so a
+/// requested countermodel comes from the Theorem 4.7 engine, run on the
+/// same context (and budget) after the failing path.
+EngineOutcome EntailByPaths(const NormDb& db, const NormConjunct& conjunct,
+                            const EngineContext& context = {});
 
 }  // namespace iodb
 

@@ -36,7 +36,7 @@ struct GroupStack {
 };
 
 // Incremental enumerator, general form (any point count, index or
-// closure mode). The removed set is always a down-set of the dag (groups
+// closure probes). The removed set is always a down-set of the dag (groups
 // are down-closures of minor antichains), so for alive u, v a strict
 // path u -> v in the full dag never passes through a removed vertex;
 // hence "v is minor within the alive subgraph" is exactly
@@ -345,41 +345,18 @@ bool RunEnumeration(const NormDb& db, const EnumerationContext& context,
 
 }  // namespace
 
-EnumerationContext::EnumerationContext(const NormDb& db, Mode mode)
-    : mode(mode), num_points(db.num_points()) {
-  const int n = num_points;
-  strict_in_all_alive.assign(n, 0);
-  strict_out_off.assign(n + 1, 0);
-  if (mode == Mode::kClosure) {
-    closure.emplace(ComputeReachability(db.dag));
-    for (int u = 0; u < n; ++u) {
-      int degree = 0;
-      for (int v = 0; v < n; ++v) {
-        degree += closure->strict.Get(u, v) ? 1 : 0;
-      }
-      strict_out_off[u + 1] = strict_out_off[u] + degree;
-    }
-    strict_out.resize(strict_out_off[n]);
-    for (int u = 0, k = 0; u < n; ++u) {
-      for (int v = 0; v < n; ++v) {
-        if (closure->strict.Get(u, v)) {
-          strict_out[k++] = v;
-          ++strict_in_all_alive[v];
-        }
-      }
-    }
-    return;
-  }
-
+EnumerationContext::EnumerationContext(const NormDb& db)
+    : num_points(db.num_points()) {
+  strict_in_all_alive.assign(num_points, 0);
+  strict_out_off.assign(num_points + 1, 0);
   // Mask-width dags: the dense closure is cheaper to build than the
   // interval-list index (a fresh tiny database costs ~1 closure vs ~2-10
   // index builds — and containment reductions evaluate thousands of
   // them), and the word masks answer every probe afterwards either way.
   // The index takes over where its near-linear build and incremental
   // maintenance actually pay.
-  if (n <= 64) {
-    closure.emplace(ComputeReachability(db.dag));
-    DeriveFromClosure();
+  if (num_points <= 64) {
+    DeriveMasks(ComputeReachability(db.dag));
     return;
   }
   index = std::make_shared<ReachabilityIndex>(db.dag);
@@ -388,48 +365,29 @@ EnumerationContext::EnumerationContext(const NormDb& db, Mode mode)
 
 EnumerationContext::EnumerationContext(
     const NormDb& db, std::shared_ptr<const ReachabilityIndex> grown)
-    : mode(Mode::kIndex), num_points(db.num_points()) {
+    : num_points(db.num_points()) {
   IODB_CHECK_EQ(grown->num_vertices(), num_points);
-  const int n = num_points;
-  strict_in_all_alive.assign(n, 0);
-  strict_out_off.assign(n + 1, 0);
+  strict_in_all_alive.assign(num_points, 0);
+  strict_out_off.assign(num_points + 1, 0);
   index = std::move(grown);
   DeriveFromIndex();
 }
 
 void EnumerationContext::DeriveFromIndex() {
-  const int n = num_points;
-  has_masks = n <= 64;
-  if (has_masks) {
-    desc_mask.assign(n, 0);
-    anc_mask.assign(n, 0);
-    strict_anc_mask.assign(n, 0);
-  }
   std::vector<uint8_t> scratch;
   std::vector<int> weak;
   std::vector<int> strict;
-  for (int u = 0; u < n; ++u) {
+  for (int u = 0; u < num_points; ++u) {
     weak.clear();
     strict.clear();
     index->CollectReachable(u, &weak, &strict, &scratch);
     strict_out_off[u + 1] = strict_out_off[u] + static_cast<int>(strict.size());
     strict_out.insert(strict_out.end(), strict.begin(), strict.end());
     for (int v : strict) ++strict_in_all_alive[v];
-    if (has_masks) {
-      const uint64_t u_bit = uint64_t{1} << u;
-      uint64_t down = u_bit;
-      for (int v : weak) {
-        down |= uint64_t{1} << v;
-        anc_mask[v] |= u_bit;
-      }
-      desc_mask[u] = down;
-      anc_mask[u] |= u_bit;
-      for (int v : strict) strict_anc_mask[v] |= u_bit;
-    }
   }
 }
 
-void EnumerationContext::DeriveFromClosure() {
+void EnumerationContext::DeriveMasks(const Reachability& reach) {
   const int n = num_points;
   has_masks = true;
   desc_mask.assign(n, 0);
@@ -440,11 +398,11 @@ void EnumerationContext::DeriveFromClosure() {
     uint64_t down = 0;
     int degree = 0;
     for (int v = 0; v < n; ++v) {
-      if (closure->reach.Get(u, v)) {  // diagonal set: self included
+      if (reach.reach.Get(u, v)) {  // diagonal set: self included
         down |= uint64_t{1} << v;
         anc_mask[v] |= u_bit;
       }
-      if (closure->strict.Get(u, v)) {
+      if (reach.strict.Get(u, v)) {
         ++degree;
         strict_anc_mask[v] |= u_bit;
       }
@@ -455,7 +413,7 @@ void EnumerationContext::DeriveFromClosure() {
   strict_out.resize(strict_out_off[n]);
   for (int u = 0, k = 0; u < n; ++u) {
     for (int v = 0; v < n; ++v) {
-      if (closure->strict.Get(u, v)) {
+      if (reach.strict.Get(u, v)) {
         strict_out[k++] = v;
         ++strict_in_all_alive[v];
       }
@@ -464,40 +422,26 @@ void EnumerationContext::DeriveFromClosure() {
 }
 
 bool EnumerationContext::Reaches(int u, int v, ReachProbeStats* stats) const {
-  if (has_masks) {
-    if (stats != nullptr) {
-      ++stats->probes;
-      ++stats->fast_hits;
-    }
-    return (desc_mask[u] >> v) & 1;
+  if (index != nullptr) return index->Reaches(u, v, stats);
+  if (stats != nullptr) {
+    ++stats->probes;
+    ++stats->fast_hits;
   }
-  if (mode == Mode::kClosure) {
-    if (stats != nullptr) {
-      ++stats->probes;
-      ++stats->fast_hits;
-    }
-    return closure->reach.Get(u, v);
-  }
-  return index->Reaches(u, v, stats);
+  if (has_masks) return (desc_mask[u] >> v) & 1;
+  return closure->reach.Get(u, v);
 }
 
 bool EnumerationContext::Comparable(int u, int v,
                                     ReachProbeStats* stats) const {
+  if (index != nullptr) return index->Comparable(u, v, stats);
+  if (stats != nullptr) {
+    ++stats->probes;
+    ++stats->fast_hits;
+  }
   if (has_masks) {
-    if (stats != nullptr) {
-      ++stats->probes;
-      ++stats->fast_hits;
-    }
     return (((desc_mask[u] >> v) | (desc_mask[v] >> u)) & 1) != 0;
   }
-  if (mode == Mode::kClosure) {
-    if (stats != nullptr) {
-      ++stats->probes;
-      ++stats->fast_hits;
-    }
-    return closure->reach.Get(u, v) || closure->reach.Get(v, u);
-  }
-  return index->Comparable(u, v, stats);
+  return closure->reach.Get(u, v) || closure->reach.Get(v, u);
 }
 
 namespace {
@@ -512,10 +456,7 @@ std::shared_ptr<const EnumerationContext> TryExtendPreviousContext(
     const NormDb& db) {
   auto prev = std::static_pointer_cast<const EnumerationContext>(
       db.prev_order_context);
-  if (prev->mode != EnumerationContext::Mode::kIndex ||
-      prev->index == nullptr) {
-    return nullptr;
-  }
+  if (prev->index == nullptr) return nullptr;
   const std::vector<LabeledEdge>& log = prev->index->edge_log();
   const std::vector<LabeledEdge>& edges = db.dag.edges();
   if (db.num_points() < prev->index->num_vertices() ||
@@ -554,6 +495,14 @@ std::shared_ptr<const EnumerationContext> SharedEnumerationContext(
   return context;
 }
 
+std::shared_ptr<const EnumerationContext> EngineOrderContext(
+    const NormDb& db, const EnumerationContext* injected) {
+  if (injected == nullptr) return SharedEnumerationContext(db);
+  // Non-owning: the caller keeps the injected context alive.
+  return std::shared_ptr<const EnumerationContext>(
+      std::shared_ptr<const EnumerationContext>(), injected);
+}
+
 bool ForEachMinimalModel(const NormDb& db, const ModelVisitor& visitor) {
   return RunEnumeration(db, *SharedEnumerationContext(db), {}, visitor);
 }
@@ -563,12 +512,6 @@ bool ForEachMinimalModelFrom(const NormDb& db,
                              const std::vector<std::vector<int>>& prefix,
                              const ModelVisitor& visitor) {
   return RunEnumeration(db, context, prefix, visitor);
-}
-
-bool ForEachMinimalModelFrom(const NormDb& db,
-                             const std::vector<std::vector<int>>& prefix,
-                             const ModelVisitor& visitor) {
-  return RunEnumeration(db, *SharedEnumerationContext(db), prefix, visitor);
 }
 
 long long CountMinimalModels(const NormDb& db, long long limit) {

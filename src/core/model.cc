@@ -38,11 +38,8 @@ std::string FiniteModel::ToString() const {
   return out;
 }
 
-namespace {
-
-FiniteModel BuildFromGroups(const NormDb& db,
-                            const std::vector<std::vector<int>>& groups,
-                            bool require_complete) {
+FiniteModel BuildMinimalModel(const NormDb& db,
+                              const std::vector<std::vector<int>>& groups) {
   FiniteModel model;
   model.vocab = db.vocab;
   model.object_names = db.object_names;
@@ -62,39 +59,18 @@ FiniteModel BuildFromGroups(const NormDb& db,
     }
     model.point_names[i] = Join(names, "=");
   }
-  if (require_complete) {
-    for (int dbp = 0; dbp < db.num_points(); ++dbp) {
-      IODB_CHECK_NE(model_point[dbp], -1);  // groups must cover all points
-    }
+  for (int dbp = 0; dbp < db.num_points(); ++dbp) {
+    IODB_CHECK_NE(model_point[dbp], -1);  // groups must cover all points
   }
 
   for (const ProperAtom& atom : db.other_atoms) {
     ProperAtom mapped = atom;
-    bool placed = true;
     for (Term& term : mapped.args) {
-      if (term.sort == Sort::kOrder) {
-        if (model_point[term.id] == -1) {
-          placed = false;
-          break;
-        }
-        term.id = model_point[term.id];
-      }
+      if (term.sort == Sort::kOrder) term.id = model_point[term.id];
     }
-    if (placed) model.other_facts.push_back(std::move(mapped));
+    model.other_facts.push_back(std::move(mapped));
   }
   return model;
-}
-
-}  // namespace
-
-FiniteModel BuildMinimalModel(const NormDb& db,
-                              const std::vector<std::vector<int>>& groups) {
-  return BuildFromGroups(db, groups, /*require_complete=*/true);
-}
-
-FiniteModel BuildPrefixModel(const NormDb& db,
-                             const std::vector<std::vector<int>>& groups) {
-  return BuildFromGroups(db, groups, /*require_complete=*/false);
 }
 
 }  // namespace iodb

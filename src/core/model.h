@@ -42,13 +42,6 @@ struct FiniteModel {
 FiniteModel BuildMinimalModel(const NormDb& db,
                               const std::vector<std::vector<int>>& groups);
 
-/// As BuildMinimalModel, but `groups` may cover only a prefix of the
-/// points. Facts mentioning unplaced points are omitted; the result is the
-/// restriction of any completion to the placed points, which embeds
-/// homomorphically into that completion (used for monotone pruning).
-FiniteModel BuildPrefixModel(const NormDb& db,
-                             const std::vector<std::vector<int>>& groups);
-
 }  // namespace iodb
 
 #endif  // IODB_CORE_MODEL_H_

@@ -132,7 +132,8 @@ FiniteModel ModelBuilder::Snapshot() const {
     for (int g : levels_[p].members) names.push_back(db_->PointName(g));
     out.point_names[p] = Join(names, "=");
   }
-  // Facts in database order, exactly as BuildPrefixModel emits them.
+  // Facts in database order, exactly as BuildMinimalModel emits them
+  // (and the test oracle's BuildPrefixModel for a partial sort).
   for (size_t ai = 0; ai < db_->other_atoms.size(); ++ai) {
     if (unplaced_count_[ai] != 0) continue;
     ProperAtom mapped = db_->other_atoms[ai];

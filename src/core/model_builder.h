@@ -2,9 +2,10 @@
 // engines.
 //
 // The minimal-model enumerators visit a tree of group appends; the old
-// evaluation path rebuilt a FiniteModel from scratch at every node
-// (BuildPrefixModel, O(prefix) per node). ModelBuilder instead maintains
-// ONE model in place under push/pop of a single group:
+// evaluation path (now the oracle in tests/oracle/) rebuilt a FiniteModel
+// from scratch at every node (BuildPrefixModel, O(prefix) per node).
+// ModelBuilder instead maintains ONE model in place under push/pop of a
+// single group:
 //
 //   * point labels are dense PredSet bitsets keyed by point, refilled in
 //     place (no allocation in steady state);
@@ -54,8 +55,8 @@ class ModelBuilder {
   const FactIndex& index() const { return index_; }
 
   /// Materializes the current (complete or prefix) model with point names
-  /// and facts in database order — identical to BuildPrefixModel /
-  /// BuildMinimalModel on the same groups.
+  /// and facts in database order — identical to BuildMinimalModel (and
+  /// the oracle's BuildPrefixModel) on the same groups.
   FiniteModel Snapshot() const;
 
   /// Incremental work counters (surfaced through engine stats).

@@ -10,7 +10,6 @@
 #include "core/entail_paths.h"
 #include "core/inequality.h"
 #include "core/minimal_models.h"
-#include "core/model_builder.h"
 #include "core/model_check.h"
 #include "core/planner.h"
 #include "core/semantics.h"
@@ -144,19 +143,6 @@ FiniteModel GroundObjectFacts(const NormDb& db) {
   return facts;
 }
 
-// Picks the first minimal model (used as a countermodel for the empty
-// disjunction).
-FiniteModel FirstMinimalModel(const NormDb& db) {
-  FiniteModel model;
-  ModelVisitor visitor;
-  visitor.on_model = [&](const std::vector<std::vector<int>>& groups) {
-    model = BuildMinimalModel(db, groups);
-    return false;
-  };
-  ForEachMinimalModel(db, visitor);
-  return model;
-}
-
 std::string Plural(size_t n, const char* noun) {
   return std::to_string(n) + " " + noun + "(s)";
 }
@@ -165,7 +151,7 @@ std::string Plural(size_t n, const char* noun) {
 // work counters of `partial` into the budget's side channel first so the
 // caller (service, tools, tests) can report how far the evaluation got.
 Status ExhaustedStatus(ExecBudget* budget, const std::string& what,
-                       const EntailResult& partial) {
+                       const EngineCounters& partial) {
   ExecBudget::Partial p;
   p.states_visited = partial.states_visited;
   p.models_enumerated = partial.models_enumerated;
@@ -613,11 +599,15 @@ Result<EntailResult> PreparedQuery::EvaluateWith(const Database& db,
     return result;
   }
   if (split_query.disjuncts.empty()) {
-    // The query reduced to FALSE: any minimal model is a countermodel.
+    // The query reduced to FALSE: any minimal model is a countermodel;
+    // the brute-force enumeration reports the first one.
     result.entailed = false;
     result.engine_used = EngineKind::kAuto;
     if (options_.want_countermodel) {
-      result.countermodel = FirstMinimalModel(ndb);
+      EngineContext witness;
+      witness.want_countermodel = true;
+      result.countermodel =
+          EntailBruteForce(ndb, split_query, witness).countermodel;
     }
     return result;
   }
@@ -667,108 +657,67 @@ Result<EntailResult> PreparedQuery::EvaluateWith(const Database& db,
   }
   result.engine_used = engine;
 
+  EngineContext context;
+  context.budget = budget;
+  context.want_countermodel = options_.want_countermodel;
+  context.num_threads = num_threads;
+  EngineOutcome outcome = RunEngine(engine, ndb, split_query, plan_index,
+                                    std::move(context));
+  static_cast<EngineCounters&>(result) = outcome;
+  result.entailed = outcome.entailed;
+  // Decision mode stops at the first countermodel, so an exhausted
+  // outcome always means "no verdict" here.
+  if (outcome.exhausted) {
+    return ExhaustedStatus(budget,
+                           std::string("engine ") + EngineKindName(engine),
+                           result);
+  }
+  result.countermodel = std::move(outcome.countermodel);
+  return result;
+}
+
+EngineOutcome PreparedQuery::RunEngine(EngineKind engine, const NormDb& ndb,
+                                       const NormQuery& split_query,
+                                       const std::vector<int>& plan_index,
+                                       EngineContext context) const {
   switch (engine) {
     case EngineKind::kBruteForce: {
-      BruteForceOptions bf_options;
-      bf_options.num_threads = num_threads;
-      bf_options.budget = budget;
-      // Hand the engine the plan-memoized matcher schedules, parallel to
-      // the surviving disjuncts.
+      // The plan-memoized matcher schedules, parallel to the surviving
+      // disjuncts.
       std::vector<const CompiledConjunct*> compiled;
       compiled.reserve(plan_index.size());
       for (int idx : plan_index) {
         compiled.push_back(&disjuncts_[idx].compiled);
       }
-      bf_options.compiled = &compiled;
-      BruteForceOutcome outcome =
-          EntailBruteForce(ndb, split_query, bf_options);
-      result.entailed = outcome.entailed;
-      result.models_enumerated = outcome.models_enumerated;
-      result.groups_pushed = outcome.groups_pushed;
-      result.groups_popped = outcome.groups_popped;
-      result.check_stats = outcome.check_stats;
-      if (outcome.exhausted) {
-        return ExhaustedStatus(budget, "engine brute-force", result);
-      }
-      if (options_.want_countermodel) {
-        result.countermodel = std::move(outcome.countermodel);
-      }
-      break;
+      context.compiled = &compiled;
+      return EntailBruteForce(ndb, split_query, context);
     }
-    case EngineKind::kPathDecomposition: {
-      PathEngineOutcome outcome =
-          EntailByPaths(ndb, split_query.disjuncts[0], budget);
-      result.entailed = outcome.entailed;
-      result.states_visited = outcome.paths_checked;
-      if (outcome.exhausted) {
-        return ExhaustedStatus(budget, "engine path-decomposition", result);
-      }
-      if (!result.entailed && options_.want_countermodel) {
-        // The path engine proves non-entailment without a witness; the
-        // bounded-width engine reconstructs one (also governed: the
-        // witness search is part of the same request).
-        BoundedWidthOutcome witness = EntailBoundedWidth(
-            ndb, disjuncts_[plan_index[0]].reduced_transitive, true,
-            /*already_reduced=*/true, /*use_incremental=*/true, budget);
-        if (witness.exhausted) {
-          return ExhaustedStatus(budget, "engine path-decomposition", result);
-        }
-        IODB_CHECK(!witness.entailed);
-        result.countermodel = std::move(witness.countermodel);
-      }
-      break;
-    }
-    case EngineKind::kBoundedWidth: {
-      BoundedWidthOutcome outcome = EntailBoundedWidth(
-          ndb, disjuncts_[plan_index[0]].reduced_transitive,
-          options_.want_countermodel, /*already_reduced=*/true,
-          /*use_incremental=*/true, budget);
-      result.entailed = outcome.entailed;
-      result.states_visited = outcome.states_visited;
-      result.check_stats = outcome.check_stats;
-      if (outcome.exhausted) {
-        return ExhaustedStatus(budget, "engine bounded-width", result);
-      }
-      if (options_.want_countermodel) {
-        result.countermodel = std::move(outcome.countermodel);
-      }
-      break;
-    }
+    case EngineKind::kPathDecomposition:
+      // The path engine walks the unreduced conjunct; its countermodel
+      // witness reduces it itself.
+      return EntailByPaths(ndb, split_query.disjuncts[0], context);
+    case EngineKind::kBoundedWidth:
+      context.already_reduced = true;
+      return EntailBoundedWidth(
+          ndb, disjuncts_[plan_index[0]].reduced_transitive, context);
     case EngineKind::kDisjunctiveSearch: {
-      DisjunctiveOptions engine_options;
-      engine_options.already_reduced = true;
-      engine_options.budget = budget;
-      DisjunctiveOutcome outcome;
+      context.already_reduced = true;
       if (static_reduced_split_.has_value()) {
-        outcome = EntailDisjunctive(ndb, *static_reduced_split_,
-                                    engine_options);
-      } else {
-        NormQuery reduced_query;
-        reduced_query.vocab = vocab_;
-        reduced_query.trivially_true = split_query.trivially_true;
-        for (int idx : plan_index) {
-          reduced_query.disjuncts.push_back(
-              disjuncts_[idx].reduced_transitive);
-        }
-        outcome = EntailDisjunctive(ndb, reduced_query, engine_options);
+        return EntailDisjunctive(ndb, *static_reduced_split_, context);
       }
-      result.entailed = outcome.entailed;
-      result.states_visited = outcome.states_visited;
-      result.check_stats = outcome.check_stats;
-      // Decision mode stops at the first countermodel, so an exhausted
-      // outcome always means "no verdict" here.
-      if (outcome.exhausted) {
-        return ExhaustedStatus(budget, "engine disjunctive-search", result);
+      NormQuery reduced_query;
+      reduced_query.vocab = vocab_;
+      reduced_query.trivially_true = split_query.trivially_true;
+      for (int idx : plan_index) {
+        reduced_query.disjuncts.push_back(disjuncts_[idx].reduced_transitive);
       }
-      if (options_.want_countermodel) {
-        result.countermodel = std::move(outcome.countermodel);
-      }
-      break;
+      return EntailDisjunctive(ndb, reduced_query, context);
     }
     case EngineKind::kAuto:
-      IODB_CHECK(false);  // resolved above
+      break;
   }
-  return result;
+  IODB_CHECK(false);  // callers resolve kAuto first
+  return EngineOutcome{};
 }
 
 std::vector<Result<EntailResult>> PreparedQuery::EvaluateBatch(
@@ -836,72 +785,24 @@ Result<long long> PreparedQuery::EnumerateCountermodels(
 
   if (split_query.trivially_true) return 0;  // no model falsifies TRUE
 
+  // Monadic instances run the Theorem 5.3 machine; n-ary queries and the
+  // FALSE query run the brute-force enumeration, whose pruning only cuts
+  // subtrees without countermodels.
+  const EngineKind engine =
+      split_query.IsMonadicOrderOnly() && !split_query.disjuncts.empty()
+          ? EngineKind::kDisjunctiveSearch
+          : EngineKind::kBruteForce;
   long long reported = 0;
-  if (split_query.IsMonadicOrderOnly() && !split_query.disjuncts.empty()) {
-    DisjunctiveOptions engine_options;
-    engine_options.already_reduced = true;
-    engine_options.budget = budget;
-    engine_options.on_countermodel = [&](const FiniteModel& model) {
-      ++reported;
-      return on_countermodel(model);
-    };
-    DisjunctiveOutcome outcome;
-    if (static_reduced_split_.has_value()) {
-      outcome = EntailDisjunctive(ndb, *static_reduced_split_,
-                                  engine_options);
-    } else {
-      NormQuery reduced_query;
-      reduced_query.vocab = vocab_;
-      for (int idx : plan_index) {
-        reduced_query.disjuncts.push_back(
-            disjuncts_[idx].reduced_transitive);
-      }
-      outcome = EntailDisjunctive(ndb, reduced_query, engine_options);
-    }
-    if (outcome.exhausted) {
-      EntailResult partial;
-      partial.states_visited = outcome.states_visited;
-      partial.check_stats = outcome.check_stats;
-      return ExhaustedStatus(budget, "countermodel enumeration", partial);
-    }
-    return reported;
-  }
-
-  // Generic fallback (n-ary predicates or the FALSE query): enumerate the
-  // minimal models through the incremental builder and filter with the
-  // plan-memoized matchers; only actual countermodels are materialized.
-  std::vector<const CompiledConjunct*> compiled;
-  compiled.reserve(plan_index.size());
-  for (int idx : plan_index) compiled.push_back(&disjuncts_[idx].compiled);
-  ModelBuilder builder(ndb);
-  QueryMatcher matcher(split_query,
-                       split_query.disjuncts.empty() ? nullptr : &compiled);
-  bool exhausted = false;
-  ModelVisitor visitor;
-  visitor.on_group = [&](int depth, const std::vector<int>& group) {
-    if (budget != nullptr && !budget->Charge()) {
-      exhausted = true;
-      return false;
-    }
-    builder.PushGroup(depth, group);
-    return true;
-  };
-  visitor.on_model = [&](const std::vector<std::vector<int>>& groups) {
-    if (budget != nullptr && !budget->Charge()) {
-      exhausted = true;
-      return false;
-    }
-    builder.PopToDepth(static_cast<int>(groups.size()));
-    if (matcher.Matches(builder.view(), &builder.index())) return true;
+  EngineContext context;
+  context.budget = budget;
+  context.on_countermodel = [&](const FiniteModel& model) {
     ++reported;
-    return on_countermodel(builder.Snapshot());
+    return on_countermodel(model);
   };
-  ForEachMinimalModel(ndb, visitor);
-  if (exhausted) {
-    EntailResult partial;
-    partial.groups_pushed = builder.groups_pushed();
-    partial.groups_popped = builder.groups_popped();
-    return ExhaustedStatus(budget, "countermodel enumeration", partial);
+  EngineOutcome outcome = RunEngine(engine, ndb, split_query, plan_index,
+                                    std::move(context));
+  if (outcome.exhausted) {
+    return ExhaustedStatus(budget, "countermodel enumeration", outcome);
   }
   return reported;
 }

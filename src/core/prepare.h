@@ -262,6 +262,15 @@ class PreparedQuery {
   Result<EntailResult> EvaluateWith(const Database& db, int num_threads,
                                     ExecBudget* budget) const;
 
+  /// The one engine call of Evaluate and EnumerateCountermodels: runs
+  /// `engine` (resolved, not kAuto) on the surviving disjuncts, adding
+  /// to `context` the plan-memoized artifacts the engine uses (matcher
+  /// schedules or the transitively reduced disjuncts).
+  EngineOutcome RunEngine(EngineKind engine, const NormDb& ndb,
+                          const NormQuery& split_query,
+                          const std::vector<int>& plan_index,
+                          EngineContext context) const;
+
   VocabularyPtr vocab_;
   EntailOptions options_;
   uint64_t fingerprint_ = 0;

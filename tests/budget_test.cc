@@ -229,20 +229,28 @@ SmallInstance DrawSmall(uint64_t seed, const VocabularyPtr& vocab) {
 
 // THE governance invariant: a budget that never trips must not change
 // anything — verdict, countermodel, or any work counter — for any
-// engine the instance admits.
+// engine the instance admits. Forced engines that do not apply to an
+// instance (kUnsupported) are skipped.
 TEST(BudgetGovernanceTest, NonExhaustedGovernedRunIsBitIdentical) {
   auto vocab = std::make_shared<Vocabulary>();
+  int conjunctive_runs = 0;
   for (uint64_t seed = 1; seed <= 60; ++seed) {
     SmallInstance instance = DrawSmall(seed, vocab);
     for (EngineKind engine :
          {EngineKind::kAuto, EngineKind::kBruteForce,
+          EngineKind::kPathDecomposition, EngineKind::kBoundedWidth,
           EngineKind::kDisjunctiveSearch}) {
       EntailOptions options;
       options.engine = engine;
       options.want_countermodel = true;
       Result<EntailResult> plain = Entails(instance.db, instance.query,
                                            options);
+      if (!plain.ok() &&
+          plain.status().code() == StatusCode::kUnsupported) {
+        continue;
+      }
       ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+      if (engine == EngineKind::kBoundedWidth) ++conjunctive_runs;
       ExecBudget budget;
       budget.SetStepLimit(1LL << 60);
       budget.SetDeadlineAfterMs(1LL << 40);
@@ -259,6 +267,13 @@ TEST(BudgetGovernanceTest, NonExhaustedGovernedRunIsBitIdentical) {
       EXPECT_EQ(a.models_enumerated, b.models_enumerated) << "seed " << seed;
       EXPECT_EQ(a.groups_pushed, b.groups_pushed) << "seed " << seed;
       EXPECT_EQ(a.groups_popped, b.groups_popped) << "seed " << seed;
+      EXPECT_EQ(a.check_stats.reach_probes, b.check_stats.reach_probes)
+          << "seed " << seed;
+      EXPECT_EQ(a.check_stats.assignments_tried,
+                b.check_stats.assignments_tried)
+          << "seed " << seed;
+      EXPECT_EQ(a.check_stats.index_probes, b.check_stats.index_probes)
+          << "seed " << seed;
       ASSERT_EQ(a.countermodel.has_value(), b.countermodel.has_value())
           << "seed " << seed;
       if (a.countermodel.has_value()) {
@@ -267,6 +282,8 @@ TEST(BudgetGovernanceTest, NonExhaustedGovernedRunIsBitIdentical) {
       }
     }
   }
+  // The conjunctive engines must actually have been exercised.
+  EXPECT_GT(conjunctive_runs, 10);
 }
 
 // The sharded-parallel path with a shared (huge) budget must agree with

@@ -7,7 +7,8 @@
 // every applicable path:
 //
 //   * Entails() with engine=auto (the facade),
-//   * the brute-force engine, incremental and legacy-rebuild cores,
+//   * the brute-force engine, and the legacy rebuild-per-model core
+//     (tests/oracle/),
 //   * the bounded-width and path-decomposition engines (conjunctive
 //     monadic instances),
 //   * the disjunctive-search engine,
@@ -39,8 +40,8 @@
 #include <vector>
 
 #include "core/engine.h"
-#include "core/entail_bruteforce.h"
 #include "core/printer.h"
+#include "oracle/oracle.h"
 #include "service/service.h"
 #include "stats/cost_model.h"
 #include "stats/stats.h"
@@ -251,11 +252,10 @@ std::optional<std::vector<Verdict>> EngineVerdicts(const Instance& instance,
       ADD_FAILURE() << "normalization failed on a generated instance";
       return std::nullopt;
     }
-    BruteForceOptions rebuild;
-    rebuild.use_incremental = false;
     verdicts.push_back(
         {"brute-force-rebuild",
-         EntailBruteForce(ndb.value(), nquery.value(), rebuild).entailed});
+         oracle::EntailRebuildPerModel(ndb.value(), nquery.value())
+             .entailed});
   }
   return verdicts;
 }

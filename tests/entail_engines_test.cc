@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 
 #include "core/entail_bounded_width.h"
@@ -17,6 +18,7 @@
 #include "core/model_check.h"
 #include "core/parser.h"
 #include "core/wqo.h"
+#include "oracle/oracle.h"
 #include "workload/generators.h"
 
 namespace iodb {
@@ -67,6 +69,12 @@ Instance RandomDisjunctiveInstance(uint64_t seed) {
 
 class ConjunctiveEnginesTest : public ::testing::TestWithParam<int> {};
 
+EngineContext WantCountermodel() {
+  EngineContext context;
+  context.want_countermodel = true;
+  return context;
+}
+
 TEST_P(ConjunctiveEnginesTest, AllEnginesAgree) {
   Instance inst = RandomConjunctiveInstance(GetParam());
   ASSERT_EQ(inst.query.disjuncts.size(), 1u);
@@ -88,7 +96,8 @@ TEST_P(ConjunctiveEnginesTest, AllEnginesAgree) {
 TEST_P(ConjunctiveEnginesTest, BoundedWidthCountermodelFalsifies) {
   Instance inst = RandomConjunctiveInstance(GetParam());
   const NormConjunct& conjunct = inst.query.disjuncts[0];
-  BoundedWidthOutcome outcome = EntailBoundedWidth(inst.db, conjunct, true);
+  EngineOutcome outcome =
+      EntailBoundedWidth(inst.db, conjunct, WantCountermodel());
   if (!outcome.entailed) {
     ASSERT_TRUE(outcome.countermodel.has_value());
     EXPECT_FALSE(Satisfies(*outcome.countermodel, inst.query));
@@ -103,7 +112,8 @@ class DisjunctiveEngineTest : public ::testing::TestWithParam<int> {};
 TEST_P(DisjunctiveEngineTest, AgreesWithBruteForce) {
   Instance inst = RandomDisjunctiveInstance(GetParam());
   bool brute = EntailBruteForce(inst.db, inst.query).entailed;
-  DisjunctiveOutcome outcome = EntailDisjunctive(inst.db, inst.query);
+  EngineOutcome outcome =
+      EntailDisjunctive(inst.db, inst.query, WantCountermodel());
   EXPECT_EQ(outcome.entailed, brute) << "seed " << GetParam();
   if (!outcome.entailed) {
     ASSERT_TRUE(outcome.countermodel.has_value());
@@ -125,13 +135,13 @@ TEST_P(DisjunctiveEngineTest, EnumerationMatchesBruteForceCountermodels) {
 
   // Engine enumeration (may report duplicates; compare as sets).
   std::set<std::string> actual;
-  DisjunctiveOptions options;
-  options.on_countermodel = [&](const FiniteModel& model) {
+  EngineContext context;
+  context.on_countermodel = [&](const FiniteModel& model) {
     EXPECT_FALSE(Satisfies(model, inst.query));
     actual.insert(model.ToString());
     return true;
   };
-  EntailDisjunctive(inst.db, inst.query, options);
+  EntailDisjunctive(inst.db, inst.query, context);
   EXPECT_EQ(actual, expected) << "seed " << GetParam();
 }
 
@@ -172,23 +182,12 @@ TEST(MonotonicityTest, AddingFactsPreservesEntailment) {
   }
 }
 
-TEST(BruteForceTest, PruningDoesNotChangeVerdict) {
-  for (int seed = 0; seed < 25; ++seed) {
-    Instance inst = RandomDisjunctiveInstance(seed + 4242);
-    BruteForceOptions no_prune;
-    no_prune.prune_satisfied_prefix = false;
-    EXPECT_EQ(EntailBruteForce(inst.db, inst.query).entailed,
-              EntailBruteForce(inst.db, inst.query, no_prune).entailed)
-        << "seed " << seed;
-  }
-}
-
 TEST(BruteForceTest, TrivialQueryShortCircuits) {
   Instance inst = RandomConjunctiveInstance(1);
   NormQuery trivial;
   trivial.vocab = inst.query.vocab;
   trivial.trivially_true = true;
-  BruteForceOutcome outcome = EntailBruteForce(inst.db, trivial);
+  EngineOutcome outcome = EntailBruteForce(inst.db, trivial);
   EXPECT_TRUE(outcome.entailed);
   EXPECT_EQ(outcome.models_enumerated, 0);
 }
@@ -197,7 +196,8 @@ TEST(BruteForceTest, FalseQueryYieldsCountermodel) {
   Instance inst = RandomConjunctiveInstance(2);
   NormQuery false_query;
   false_query.vocab = inst.query.vocab;  // zero disjuncts
-  BruteForceOutcome outcome = EntailBruteForce(inst.db, false_query);
+  EngineOutcome outcome =
+      EntailBruteForce(inst.db, false_query, WantCountermodel());
   EXPECT_FALSE(outcome.entailed);
   EXPECT_TRUE(outcome.countermodel.has_value());
 }
@@ -213,8 +213,8 @@ TEST(BoundedWidthTest, EmptyDatabase) {
   FlexiWord pattern;
   pattern.symbols.push_back(label);
   NormConjunct conjunct = ConjunctOfFlexiWord(pattern, 2);
-  BoundedWidthOutcome outcome =
-      EntailBoundedWidth(norm.value(), conjunct, true);
+  EngineOutcome outcome =
+      EntailBoundedWidth(norm.value(), conjunct, WantCountermodel());
   EXPECT_FALSE(outcome.entailed);
   ASSERT_TRUE(outcome.countermodel.has_value());
   EXPECT_EQ(outcome.countermodel->num_points, 0);
@@ -222,8 +222,9 @@ TEST(BoundedWidthTest, EmptyDatabase) {
 
 // ---------------------------------------------------------------------------
 // Differential coverage of the incremental reachability paths: for each
-// engine, the default (index/mask) path must reproduce the oracle path's
-// full outcome — verdict, state count, and the countermodel sequence.
+// engine, the production (index/mask/counter) path must reproduce the
+// oracle's full outcome (tests/oracle/) — verdict, state count, and the
+// countermodel sequence.
 // ---------------------------------------------------------------------------
 
 // Width-2 instances with > 64 points: exercises the interval-probe and
@@ -250,96 +251,47 @@ Instance LargeConjunctiveInstance(uint64_t seed) {
 TEST_P(ConjunctiveEnginesTest, BoundedWidthIncrementalMatchesOracle) {
   Instance inst = RandomConjunctiveInstance(GetParam());
   const NormConjunct& conjunct = inst.query.disjuncts[0];
-  BoundedWidthOutcome fast = EntailBoundedWidth(
-      inst.db, conjunct, /*want_countermodel=*/true,
-      /*already_reduced=*/false, /*use_incremental=*/true);
-  BoundedWidthOutcome oracle = EntailBoundedWidth(
-      inst.db, conjunct, /*want_countermodel=*/true,
-      /*already_reduced=*/false, /*use_incremental=*/false);
-  EXPECT_EQ(fast.entailed, oracle.entailed) << "seed " << GetParam();
-  EXPECT_EQ(fast.states_visited, oracle.states_visited)
-      << "seed " << GetParam();
-  ASSERT_EQ(fast.countermodel.has_value(), oracle.countermodel.has_value());
-  if (fast.countermodel.has_value()) {
-    EXPECT_EQ(fast.countermodel->ToString(), oracle.countermodel->ToString())
-        << "seed " << GetParam();
-  }
+  EngineOutcome fast =
+      EntailBoundedWidth(inst.db, conjunct, WantCountermodel());
+  oracle::ExpectSameOutcome(fast,
+                            oracle::EntailBoundedWidthFromDag(
+                                inst.db, conjunct, WantCountermodel()),
+                            "seed " + std::to_string(GetParam()));
   if (!fast.entailed) {
     EXPECT_GT(fast.check_stats.reach_probes, 0) << "seed " << GetParam();
   }
 }
 
-TEST_P(DisjunctiveEngineTest, IncrementalMatchesOraclePath) {
-  Instance inst = RandomDisjunctiveInstance(GetParam());
-  // Enumeration mode: the two paths must report the same countermodels in
-  // the same order (the fast path preserves group enumeration order).
-  std::vector<std::string> fast_seq;
-  std::vector<std::string> oracle_seq;
-  DisjunctiveOptions fast_options;
-  fast_options.use_incremental = true;
-  fast_options.on_countermodel = [&](const FiniteModel& model) {
-    fast_seq.push_back(model.ToString());
-    return true;
-  };
-  DisjunctiveOutcome fast = EntailDisjunctive(inst.db, inst.query,
-                                              fast_options);
-  DisjunctiveOptions oracle_options;
-  oracle_options.use_incremental = false;
-  oracle_options.on_countermodel = [&](const FiniteModel& model) {
-    oracle_seq.push_back(model.ToString());
-    return true;
-  };
-  DisjunctiveOutcome oracle = EntailDisjunctive(inst.db, inst.query,
-                                                oracle_options);
-  EXPECT_EQ(fast.entailed, oracle.entailed) << "seed " << GetParam();
-  EXPECT_EQ(fast.states_visited, oracle.states_visited)
-      << "seed " << GetParam();
-  EXPECT_EQ(fast.countermodels_reported, oracle.countermodels_reported)
-      << "seed " << GetParam();
-  EXPECT_EQ(fast_seq, oracle_seq) << "seed " << GetParam();
-}
-
 // Runs the engine under `first` and `second` in decision mode and in
 // enumeration mode (capped at `max_countermodels` reports) and expects
-// identical outcomes: verdict, states visited, countermodels reported and
-// the countermodel sequence, plus the probe counters when both run the
-// same path. Neither run may exhaust.
+// identical outcomes: verdict, states visited, the countermodel and the
+// countermodel sequence, plus the probe counters when both run on the
+// same order context. Neither run may exhaust.
 void ExpectSameOutcomes(const NormDb& db, const NormQuery& query,
-                        const DisjunctiveOptions& first,
-                        const DisjunctiveOptions& second,
+                        const EngineContext& first,
+                        const EngineContext& second,
                         const std::string& what,
                         size_t max_countermodels = 64) {
   for (bool enumerate : {false, true}) {
-    DisjunctiveOutcome outcome[2];
+    EngineOutcome outcome[2];
     std::vector<std::string> sequence[2];
     for (int run = 0; run < 2; ++run) {
-      DisjunctiveOptions options = run == 0 ? first : second;
+      EngineContext context = run == 0 ? first : second;
+      context.want_countermodel = true;
       if (enumerate) {
-        options.on_countermodel = [&, run](const FiniteModel& model) {
+        context.on_countermodel = [&, run](const FiniteModel& model) {
           sequence[run].push_back(model.ToString());
           return sequence[run].size() < max_countermodels;
         };
       }
-      outcome[run] = EntailDisjunctive(db, query, options);
+      outcome[run] = EntailDisjunctive(db, query, context);
     }
     const std::string where =
         what + (enumerate ? " (enumeration)" : " (decision)");
-    EXPECT_FALSE(outcome[0].exhausted || outcome[1].exhausted) << where;
-    EXPECT_EQ(outcome[0].entailed, outcome[1].entailed) << where;
-    EXPECT_EQ(outcome[0].states_visited, outcome[1].states_visited) << where;
-    EXPECT_EQ(outcome[0].countermodels_reported,
-              outcome[1].countermodels_reported)
-        << where;
+    EXPECT_FALSE(outcome[0].exhausted) << where;
+    oracle::ExpectSameOutcome(outcome[0], outcome[1], where);
     EXPECT_EQ(sequence[0], sequence[1]) << where;
-    ASSERT_EQ(outcome[0].countermodel.has_value(),
-              outcome[1].countermodel.has_value())
-        << where;
-    if (outcome[0].countermodel.has_value()) {
-      EXPECT_EQ(outcome[0].countermodel->ToString(),
-                outcome[1].countermodel->ToString())
-          << where;
-    }
-    if (first.use_incremental == second.use_incremental) {
+    if (first.order == second.order) {
       EXPECT_EQ(outcome[0].check_stats.reach_probes,
                 outcome[1].check_stats.reach_probes)
           << where;
@@ -350,12 +302,23 @@ void ExpectSameOutcomes(const NormDb& db, const NormQuery& query,
   }
 }
 
-// The default path against the use_incremental=false oracle.
+// The production path against the engine on the oracle's closure.
 void ExpectMatchesOracle(const NormDb& db, const NormQuery& query,
-                         const std::string& what) {
-  DisjunctiveOptions oracle;
-  oracle.use_incremental = false;
-  ExpectSameOutcomes(db, query, DisjunctiveOptions{}, oracle, what);
+                         const std::string& what,
+                         size_t max_countermodels = 64) {
+  const EnumerationContext closure = oracle::ClosureContext(db);
+  EngineContext on_closure;
+  on_closure.order = &closure;
+  ExpectSameOutcomes(db, query, EngineContext{}, on_closure, what,
+                     max_countermodels);
+}
+
+// The whole enumeration: the production path reports the same
+// countermodels in the same order (it preserves group enumeration order).
+TEST_P(DisjunctiveEngineTest, IncrementalMatchesOraclePath) {
+  Instance inst = RandomDisjunctiveInstance(GetParam());
+  ExpectMatchesOracle(inst.db, inst.query,
+                      "seed " + std::to_string(GetParam()), SIZE_MAX);
 }
 
 // The shape of the wire benchmark's Thm 5.3 reads: 3 chains x 12 points
@@ -541,9 +504,9 @@ TEST(DisjunctiveMaskGateTest, UntrippedBudgetIsBitIdentical) {
     ExecBudget budget;
     budget.SetDeadlineAfterMs(60 * 1000);
     budget.SetStepLimit(1LL << 40);
-    DisjunctiveOptions governed;
+    EngineContext governed;
     governed.budget = &budget;
-    ExpectSameOutcomes(inst.db, inst.query, DisjunctiveOptions{}, governed,
+    ExpectSameOutcomes(inst.db, inst.query, EngineContext{}, governed,
                        "governed, seed " + std::to_string(seed));
   }
 }
@@ -551,18 +514,18 @@ TEST(DisjunctiveMaskGateTest, UntrippedBudgetIsBitIdentical) {
 TEST(DisjunctiveMaskGateTest, TrippedStepLimitReportsExhausted) {
   for (int seed = 0; seed < 8; ++seed) {
     Instance inst = EvalDeepShapeInstance(seed);
-    DisjunctiveOutcome full = EntailDisjunctive(inst.db, inst.query);
+    EngineOutcome full = EntailDisjunctive(inst.db, inst.query);
     ExecBudget budget;
     budget.SetStepLimit(full.states_visited / 2);
-    DisjunctiveOptions options;
-    options.budget = &budget;
-    DisjunctiveOutcome cut = EntailDisjunctive(inst.db, inst.query, options);
+    EngineContext context = WantCountermodel();
+    context.budget = &budget;
+    EngineOutcome cut = EntailDisjunctive(inst.db, inst.query, context);
     const std::string where = "seed " + std::to_string(seed);
     // Steps count states and group candidates, so a limit of half the
     // states trips before the search could finish.
     EXPECT_TRUE(cut.exhausted) << where;
     EXPECT_LT(cut.states_visited, full.states_visited) << where;
-    EXPECT_EQ(cut.countermodels_reported, 0) << where;
+    EXPECT_FALSE(cut.countermodel.has_value()) << where;
   }
 }
 
@@ -572,36 +535,17 @@ TEST_P(LargeInstanceTest, BoundedWidthCounterPathMatchesOracle) {
   Instance inst = LargeConjunctiveInstance(GetParam());
   ASSERT_GT(inst.db.num_points(), 64);
   const NormConjunct& conjunct = inst.query.disjuncts[0];
-  BoundedWidthOutcome fast = EntailBoundedWidth(
-      inst.db, conjunct, /*want_countermodel=*/true,
-      /*already_reduced=*/false, /*use_incremental=*/true);
-  BoundedWidthOutcome oracle = EntailBoundedWidth(
-      inst.db, conjunct, /*want_countermodel=*/true,
-      /*already_reduced=*/false, /*use_incremental=*/false);
-  EXPECT_EQ(fast.entailed, oracle.entailed) << "seed " << GetParam();
-  EXPECT_EQ(fast.states_visited, oracle.states_visited)
-      << "seed " << GetParam();
-  ASSERT_EQ(fast.countermodel.has_value(), oracle.countermodel.has_value());
-  if (fast.countermodel.has_value()) {
-    EXPECT_EQ(fast.countermodel->ToString(), oracle.countermodel->ToString())
-        << "seed " << GetParam();
-  }
+  oracle::ExpectSameOutcome(
+      EntailBoundedWidth(inst.db, conjunct, WantCountermodel()),
+      oracle::EntailBoundedWidthFromDag(inst.db, conjunct, WantCountermodel()),
+      "seed " + std::to_string(GetParam()));
 }
 
 TEST_P(LargeInstanceTest, DisjunctiveIntervalPathMatchesOracle) {
   Instance inst = LargeConjunctiveInstance(GetParam() + 500);
   ASSERT_GT(inst.db.num_points(), 64);
-  DisjunctiveOptions fast_options;
-  fast_options.use_incremental = true;
-  DisjunctiveOutcome fast = EntailDisjunctive(inst.db, inst.query,
-                                              fast_options);
-  DisjunctiveOptions oracle_options;
-  oracle_options.use_incremental = false;
-  DisjunctiveOutcome oracle = EntailDisjunctive(inst.db, inst.query,
-                                                oracle_options);
-  EXPECT_EQ(fast.entailed, oracle.entailed) << "seed " << GetParam();
-  EXPECT_EQ(fast.states_visited, oracle.states_visited)
-      << "seed " << GetParam();
+  ExpectMatchesOracle(inst.db, inst.query,
+                      "seed " + std::to_string(GetParam()));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LargeInstanceTest, ::testing::Range(0, 12));
@@ -615,10 +559,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, LargeInstanceTest, ::testing::Range(0, 12));
 
 void ExpectContextMatchesClosure(const NormDb& db,
                                  const EnumerationContext& ctx) {
-  EnumerationContext oracle(db, EnumerationContext::Mode::kClosure);
+  const EnumerationContext closure = oracle::ClosureContext(db);
   for (int u = 0; u < db.num_points(); ++u) {
     for (int v = 0; v < db.num_points(); ++v) {
-      EXPECT_EQ(ctx.Reaches(u, v), oracle.Reaches(u, v))
+      EXPECT_EQ(ctx.Reaches(u, v), closure.Reaches(u, v))
           << "u=" << u << " v=" << v;
     }
   }

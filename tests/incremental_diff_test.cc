@@ -2,10 +2,9 @@
 //
 // The incremental engines (ModelBuilder + FactIndex + compiled matchers,
 // and the count-maintaining enumerator) must be observationally identical
-// to the legacy rebuild-per-model path, which is kept behind
-// BruteForceOptions::use_incremental = false as the reference oracle:
-// same verdicts, same enumeration order, same work counters where the
-// semantics pin them, and bit-identical countermodels.
+// to the legacy rebuild-per-model path, kept as the reference oracle in
+// tests/oracle/: same verdicts, same enumeration order, same work
+// counters where the semantics pin them, and bit-identical countermodels.
 
 #include <set>
 #include <string>
@@ -13,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/engine.h"
 #include "core/entail_bruteforce.h"
 #include "core/minimal_models.h"
 #include "core/model.h"
@@ -20,6 +20,7 @@
 #include "core/model_check.h"
 #include "core/model_matcher.h"
 #include "graph/topo.h"
+#include "oracle/oracle.h"
 #include "util/random.h"
 #include "workload/generators.h"
 
@@ -136,7 +137,8 @@ std::vector<std::string> EnumerationTrace(
     ReferenceEnumerator e(db, visitor);
     e.Recurse();
   } else if (prefix != nullptr) {
-    ForEachMinimalModelFrom(db, *prefix, visitor);
+    ForEachMinimalModelFrom(db, *SharedEnumerationContext(db), *prefix,
+                            visitor);
   } else {
     ForEachMinimalModel(db, visitor);
   }
@@ -248,7 +250,8 @@ TEST(IncrementalEnumeratorTest, PrefixSeededSubtreesPartitionTheForest) {
         sharded.push_back(BuildMinimalModel(norm, groups).ToString());
         return true;
       };
-      ForEachMinimalModelFrom(norm, prefix, sub);
+      ForEachMinimalModelFrom(norm, *SharedEnumerationContext(norm), prefix,
+                              sub);
     }
     EXPECT_EQ(full, sharded) << "seed " << seed;
   }
@@ -268,7 +271,7 @@ TEST(ModelBuilderTest, SnapshotMatchesBuildPrefixModelAtEveryNode) {
       prefix.push_back(group);
       builder.PushGroup(depth, group);
       EXPECT_EQ(builder.Snapshot().ToString(),
-                BuildPrefixModel(norm, prefix).ToString());
+                oracle::BuildPrefixModel(norm, prefix).ToString());
       return ++checked < 200;  // bound the walk; prefixes vary enough
     };
     visitor.on_model = [&](const std::vector<std::vector<int>>& groups) {
@@ -308,24 +311,6 @@ TEST(CompiledMatcherTest, AgreesWithGenericSatisfiesOnEveryMinimalModel) {
   EXPECT_GT(models_checked, 100);  // the corpus actually exercised us
 }
 
-void ExpectSameOutcome(const BruteForceOutcome& incremental,
-                       const BruteForceOutcome& rebuild, uint64_t seed) {
-  EXPECT_EQ(incremental.entailed, rebuild.entailed) << "seed " << seed;
-  EXPECT_EQ(incremental.limit_hit, rebuild.limit_hit) << "seed " << seed;
-  EXPECT_EQ(incremental.models_enumerated, rebuild.models_enumerated)
-      << "seed " << seed;
-  EXPECT_EQ(incremental.prefixes_pruned, rebuild.prefixes_pruned)
-      << "seed " << seed;
-  ASSERT_EQ(incremental.countermodel.has_value(),
-            rebuild.countermodel.has_value())
-      << "seed " << seed;
-  if (incremental.countermodel.has_value()) {
-    EXPECT_EQ(incremental.countermodel->ToString(),
-              rebuild.countermodel->ToString())
-        << "seed " << seed;
-  }
-}
-
 TEST(IncrementalBruteForceTest, MatchesRebuildPathOnRandomCorpus) {
   for (uint64_t seed = 0; seed < 60; ++seed) {
     auto vocab = std::make_shared<Vocabulary>();
@@ -335,36 +320,70 @@ TEST(IncrementalBruteForceTest, MatchesRebuildPathOnRandomCorpus) {
     if (!norm_query.ok()) continue;
     NormDb norm = MustNormalize(db);
 
-    for (bool prune : {true, false}) {
-      BruteForceOptions incremental_options;
-      incremental_options.prune_satisfied_prefix = prune;
-      BruteForceOptions rebuild_options = incremental_options;
-      rebuild_options.use_incremental = false;
-      ExpectSameOutcome(
-          EntailBruteForce(norm, norm_query.value(), incremental_options),
-          EntailBruteForce(norm, norm_query.value(), rebuild_options), seed);
-    }
+    EngineContext context;
+    context.want_countermodel = true;
+    oracle::ExpectSameOutcome(
+        EntailBruteForce(norm, norm_query.value(), context),
+        oracle::EntailRebuildPerModel(norm, norm_query.value(), context),
+        "seed " + std::to_string(seed));
   }
 }
 
-TEST(IncrementalBruteForceTest, MatchesRebuildUnderModelBudget) {
-  for (uint64_t seed = 0; seed < 20; ++seed) {
-    auto vocab = std::make_shared<Vocabulary>();
-    Database db = RandomCorpusDb(seed, vocab);
-    Query query = RandomCorpusQuery(seed + 250, vocab);
-    Result<NormQuery> norm_query = NormalizeQuery(query);
-    if (!norm_query.ok()) continue;
-    NormDb norm = MustNormalize(db);
-
-    BruteForceOptions incremental_options;
-    incremental_options.prune_satisfied_prefix = false;
-    incremental_options.max_models = 3;
-    BruteForceOptions rebuild_options = incremental_options;
-    rebuild_options.use_incremental = false;
-    ExpectSameOutcome(
-        EntailBruteForce(norm, norm_query.value(), incremental_options),
-        EntailBruteForce(norm, norm_query.value(), rebuild_options), seed);
+// A query that leaves the monadic fragment — so EnumerateCountermodels
+// routes it through the brute-force engine — or, on every third seed,
+// one whose only disjunct is an object atom no database fact matches:
+// the object split drops it and the plan reduces to FALSE.
+Query NaryOrFalseQuery(uint64_t seed, VocabularyPtr vocab) {
+  if (seed % 3 == 2) {
+    Query query(vocab);
+    query.AddDisjunct(QueryConjunct().Exists("x").Atom("Knows", {"x", "x"}));
+    return query;
   }
+  Rng rng(seed);
+  Query monadic = RandomConjunctiveMonadicQuery(
+      rng.UniformInt(1, 3), 2, 0.4, 0.5, 0.4, vocab, rng);
+  Query query(vocab);
+  QueryConjunct conjunct = monadic.disjuncts()[0];
+  conjunct.Exists("x").Atom("Owns", {"x", conjunct.variables[0]});
+  query.AddDisjunct(conjunct);
+  return query;
+}
+
+// EnumerateCountermodels on n-ary and FALSE queries runs the pruning
+// brute-force engine; it must report exactly the oracle's filtered
+// enumeration: every minimal model, no pruning, in enumeration order.
+TEST(CountermodelEnumerationTest, NaryAndFalseQueriesMatchFilteredOracle) {
+  long long countermodels = 0;
+  long long satisfying = 0;  // models whose subtrees pruning may cut
+  for (uint64_t seed = 0; seed < 48; ++seed) {
+    auto vocab = std::make_shared<Vocabulary>();
+    vocab->MustAddPredicate("Owns", {Sort::kObject, Sort::kOrder});
+    vocab->MustAddPredicate("Knows", {Sort::kObject, Sort::kObject});
+    Database db = RandomCorpusDb(seed, vocab);
+    Query query = NaryOrFalseQuery(seed + 700, vocab);
+    std::vector<std::string> actual;
+    std::vector<std::string> expected;
+    auto collect = [](std::vector<std::string>& into) {
+      return [&into](const FiniteModel& model) {
+        into.push_back(model.ToString());
+        return true;
+      };
+    };
+    Result<long long> reported =
+        EnumerateCountermodels(db, query, collect(actual));
+    ASSERT_TRUE(reported.ok()) << reported.status().ToString();
+    EXPECT_EQ(reported.value(), static_cast<long long>(actual.size()));
+    Result<NormQuery> norm_query = NormalizeQuery(query);
+    ASSERT_TRUE(norm_query.ok()) << norm_query.status().ToString();
+    NormDb norm = MustNormalize(db);
+    oracle::FilteredCountermodels(norm, norm_query.value(), collect(expected));
+    EXPECT_EQ(actual, expected) << "seed " << seed;
+    countermodels += static_cast<long long>(expected.size());
+    satisfying += CountMinimalModels(norm) -
+                  static_cast<long long>(expected.size());
+  }
+  EXPECT_GT(countermodels, 1000);  // the corpus actually exercised us
+  EXPECT_GT(satisfying, 1000);
 }
 
 }  // namespace

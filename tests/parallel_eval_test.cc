@@ -128,13 +128,14 @@ TEST(ParallelBruteForceTest, SubtreeShardingMatchesSerialOnRandomCorpus) {
     Result<NormDb> norm = Normalize(db);
     ASSERT_TRUE(norm.ok());
 
-    const BruteForceOutcome serial =
-        EntailBruteForce(norm.value(), norm_query.value());
+    EngineContext context;
+    context.want_countermodel = true;
+    const EngineOutcome serial =
+        EntailBruteForce(norm.value(), norm_query.value(), context);
     for (int workers : {2, 4}) {
-      BruteForceOptions options;
-      options.num_threads = workers;
-      const BruteForceOutcome parallel =
-          EntailBruteForce(norm.value(), norm_query.value(), options);
+      context.num_threads = workers;
+      const EngineOutcome parallel =
+          EntailBruteForce(norm.value(), norm_query.value(), context);
       EXPECT_EQ(parallel.entailed, serial.entailed)
           << "seed " << seed << " workers " << workers;
       ASSERT_EQ(parallel.countermodel.has_value(),
@@ -154,7 +155,7 @@ TEST(ParallelBruteForceTest, SubtreeShardingMatchesSerialOnRandomCorpus) {
         // subtree worker counts exactly its own subtree's probes).
         EXPECT_EQ(parallel.models_enumerated, serial.models_enumerated)
             << "seed " << seed << " workers " << workers;
-        EXPECT_EQ(parallel.prefixes_pruned, serial.prefixes_pruned)
+        EXPECT_EQ(parallel.groups_pushed, serial.groups_pushed)
             << "seed " << seed << " workers " << workers;
         EXPECT_EQ(parallel.check_stats.reach_probes,
                   serial.check_stats.reach_probes)

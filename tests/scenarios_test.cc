@@ -108,13 +108,13 @@ TEST(SchedulingTest, ValidSchedulesEnumerable) {
   ASSERT_TRUE(db.ok());
 
   long long schedules = 0;
-  DisjunctiveOptions options;
-  options.on_countermodel = [&](const FiniteModel&) {
+  EngineContext context;
+  context.on_countermodel = [&](const FiniteModel&) {
     ++schedules;
     return schedules < 1000;
   };
-  DisjunctiveOutcome outcome =
-      EntailDisjunctive(db.value(), forbidden.value(), options);
+  EngineOutcome outcome =
+      EntailDisjunctive(db.value(), forbidden.value(), context);
   // Each worker's chain ends with Release and starts with Acquire, so
   // some interleavings violate the pattern but the all-of-worker-1-then-
   // worker-2 schedule... also violates (w0's Release precedes w1's
