@@ -186,8 +186,8 @@ BENCHMARK(BM_BatchPrepared)->Arg(16);
 
 // --- Parallel batch: the scheduling fleet sharded across workers -----------
 // Same workload as BM_BatchPrepared with a larger fleet of heavier plan
-// variants, evaluated through ParallelEvaluateBatch. Args: (fleet size,
-// workers). Workers=1 is the serial baseline through the same code path;
+// variants, evaluated through EvaluateBatch(dbs, workers). Args: (fleet
+// size, workers). Workers=1 is the serial baseline through the same code path;
 // scaling tops out at the machine's core count (this is a per-database
 // sharding, so a 16-db fleet feeds at most 16 workers).
 
@@ -209,7 +209,7 @@ void BM_BatchParallel(benchmark::State& state) {
   const int workers = static_cast<int>(state.range(1));
   for (auto _ : state) {
     std::vector<Result<EntailResult>> results =
-        plan.ParallelEvaluateBatch(dbs, workers);
+        plan.EvaluateBatch(dbs, workers);
     for (const Result<EntailResult>& result : results) {
       IODB_CHECK(result.ok());
       benchmark::DoNotOptimize(result.value().entailed);

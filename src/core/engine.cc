@@ -20,7 +20,7 @@ const char* EngineKindName(EngineKind kind) {
   return "unknown";
 }
 
-std::optional<EngineKind> ParseEngineKind(const std::string& name) {
+std::optional<EngineKind> ParseEngineKind(std::string_view name) {
   for (EngineKind kind :
        {EngineKind::kAuto, EngineKind::kBruteForce,
         EngineKind::kPathDecomposition, EngineKind::kBoundedWidth,

@@ -16,6 +16,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "core/database.h"
 #include "core/engine_context.h"
@@ -45,7 +46,7 @@ const char* EngineKindName(EngineKind kind);
 /// by EngineKindName() round-trip, and the historical CLI shorthands
 /// "paths" / "disjunctive" are accepted. Returns nullopt for anything
 /// else.
-std::optional<EngineKind> ParseEngineKind(const std::string& name);
+std::optional<EngineKind> ParseEngineKind(std::string_view name);
 
 /// Options for Entails().
 struct EntailOptions {

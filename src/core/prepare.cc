@@ -1,7 +1,6 @@
 #include "core/prepare.h"
 
 #include <algorithm>
-#include <numeric>
 #include <utility>
 
 #include "core/entail_bounded_width.h"
@@ -13,6 +12,7 @@
 #include "core/model_check.h"
 #include "core/planner.h"
 #include "core/semantics.h"
+#include "graph/union_find.h"
 #include "util/parallel.h"
 
 namespace iodb {
@@ -38,22 +38,6 @@ const char* QueryPassName(QueryPassId id) {
 }
 
 namespace {
-
-// Union-find over the variables of one conjunct.
-struct UnionFind {
-  std::vector<int> parent;
-  explicit UnionFind(int n) : parent(n) {
-    std::iota(parent.begin(), parent.end(), 0);
-  }
-  int Find(int x) {
-    while (parent[x] != x) {
-      parent[x] = parent[parent[x]];
-      x = parent[x];
-    }
-    return x;
-  }
-  void Union(int a, int b) { parent[Find(a)] = Find(b); }
-};
 
 // The static half of the object/order split (Section 4): carves the atom
 // components of `conjunct` that touch no order variable into an
@@ -721,21 +705,15 @@ EngineOutcome PreparedQuery::RunEngine(EngineKind engine, const NormDb& ndb,
 }
 
 std::vector<Result<EntailResult>> PreparedQuery::EvaluateBatch(
-    std::span<const Database* const> dbs, ExecBudget* budget) const {
-  std::vector<Result<EntailResult>> results;
-  results.reserve(dbs.size());
-  for (const Database* db : dbs) {
-    IODB_CHECK(db != nullptr);
-    results.push_back(Evaluate(*db, budget));
-  }
-  return results;
-}
-
-std::vector<Result<EntailResult>> PreparedQuery::ParallelEvaluateBatch(
     std::span<const Database* const> dbs, int num_workers,
     ExecBudget* budget) const {
   for (const Database* db : dbs) IODB_CHECK(db != nullptr);
-  if (num_workers <= 1) return EvaluateBatch(dbs, budget);
+  if (num_workers <= 1) {
+    std::vector<Result<EntailResult>> results;
+    results.reserve(dbs.size());
+    for (const Database* db : dbs) results.push_back(Evaluate(*db, budget));
+    return results;
+  }
   if (dbs.size() == 1) {
     // One hard query: shard its enumeration subtrees instead.
     std::vector<Result<EntailResult>> results;

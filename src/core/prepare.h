@@ -116,7 +116,7 @@ struct DisjunctPlan {
 ///
 /// Thread-safety: the plan's own caches are internally synchronized, so
 /// concurrent Evaluate calls on ONE plan against DISTINCT Database
-/// objects are safe (ParallelEvaluateBatch relies on this). A single
+/// objects are safe (a sharded EvaluateBatch relies on this). A single
 /// Database object still must not be evaluated concurrently — its
 /// memoized NormView fills lazily under const.
 class PreparedQuery {
@@ -143,24 +143,20 @@ class PreparedQuery {
                                 ExecBudget* budget = nullptr) const;
 
   /// Evaluates the plan against every database of the batch. One plan,
-  /// many stores. A shared `budget` governs the whole batch: once it
-  /// trips, every remaining member fails fast with the typed status.
-  std::vector<Result<EntailResult>> EvaluateBatch(
-      std::span<const Database* const> dbs,
-      ExecBudget* budget = nullptr) const;
-
-  /// As EvaluateBatch, sharded across a small worker pool. Results are
-  /// written to their input slots (deterministic merge: result[i] is
-  /// always db[i]'s verdict, independent of scheduling); duplicate
-  /// Database pointers are evaluated once and their result copied. A
-  /// single-database batch with a brute-force plan shards the enumeration
-  /// subtrees of that one query instead. `num_workers <= 1` degrades to
-  /// EvaluateBatch; callers pick DefaultWorkerCount() (util/parallel.h)
-  /// for "whatever the machine has". The shared `budget` (thread-safe)
-  /// governs every in-flight shard at once — the seam batch-level
+  /// many stores. `num_workers <= 1` evaluates them in order on the
+  /// calling thread. A larger `num_workers` shards the batch across a
+  /// small worker pool; callers pick DefaultWorkerCount()
+  /// (util/parallel.h) for "whatever the machine has". Results land in
+  /// their input slots either way (deterministic merge: result[i] is
+  /// always db[i]'s verdict, independent of scheduling); sharded,
+  /// duplicate Database pointers are evaluated once and their result
+  /// copied, and a single-database batch shards the enumeration subtrees
+  /// of that one query instead. A shared `budget` (thread-safe) governs
+  /// the whole batch: once it trips, every remaining member and in-flight
+  /// shard fails fast with the typed status — the seam batch-level
   /// deadlines and cancellation propagate through.
-  std::vector<Result<EntailResult>> ParallelEvaluateBatch(
-      std::span<const Database* const> dbs, int num_workers,
+  std::vector<Result<EntailResult>> EvaluateBatch(
+      std::span<const Database* const> dbs, int num_workers = 1,
       ExecBudget* budget = nullptr) const;
 
   /// Enumerates the countermodels of the prepared query in `db`; see
@@ -304,7 +300,7 @@ class PreparedQuery {
   // amortize the transform per store. Bounded: once full, a miss on a new
   // database evicts everything, keeping long-lived plans from
   // accumulating entries for short-lived databases. Guarded by cache_mu_
-  // (ParallelEvaluateBatch workers share the plan); entries are
+  // (sharded EvaluateBatch workers share the plan); entries are
   // shared_ptrs so an eviction never frees a view a worker still holds.
   struct TransformCache {
     uint64_t revision;

@@ -421,10 +421,12 @@ Result<ConstantShift> ShiftConstants(const Query& query) {
       if (!s.ok()) return s;
     }
     // Proper atoms last: by now the conjunct may have gained marker atoms,
-    // but constants can still occur in the original proper atoms.
-    const size_t original_atom_count = conjunct.proper_atoms.size();
-    for (size_t a = 0; a < original_atom_count; ++a) {
-      QueryProperAtom& atom = rewritten.proper_atoms[a];
+    // but constants can still occur in the original proper atoms. Since
+    // freshen() appends to rewritten.proper_atoms, no reference into it
+    // survives a call: each argument is freshened as a copy of the
+    // unrewritten conjunct's and written back by index.
+    for (size_t a = 0; a < conjunct.proper_atoms.size(); ++a) {
+      const QueryProperAtom& atom = conjunct.proper_atoms[a];
       std::optional<int> pred = vocab.FindPredicate(atom.pred);
       if (!pred.has_value()) {
         return Status::InvalidArgument("unknown predicate '" + atom.pred +
@@ -438,8 +440,10 @@ Result<ConstantShift> ShiftConstants(const Query& query) {
                                        "' in query");
       }
       for (size_t i = 0; i < arg_sorts.size(); ++i) {
-        Status s = freshen(atom.args[i], arg_sorts[i]);
+        QueryTerm term = atom.args[i];
+        Status s = freshen(term, arg_sorts[i]);
         if (!s.ok()) return s;
+        rewritten.proper_atoms[a].args[i] = std::move(term);
       }
     }
     shift.query.AddDisjunct(std::move(rewritten));

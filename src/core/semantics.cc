@@ -14,7 +14,7 @@ const char* OrderSemanticsName(OrderSemantics semantics) {
   return "unknown";
 }
 
-std::optional<OrderSemantics> ParseOrderSemantics(const std::string& name) {
+std::optional<OrderSemantics> ParseOrderSemantics(std::string_view name) {
   if (name == "finite") return OrderSemantics::kFinite;
   if (name == "integer") return OrderSemantics::kInteger;
   if (name == "rational") return OrderSemantics::kRational;

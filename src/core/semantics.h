@@ -18,6 +18,7 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "core/database.h"
 #include "core/query.h"
@@ -37,7 +38,7 @@ const char* OrderSemanticsName(OrderSemantics semantics);
 /// Parses a semantics name back into its value: exactly the strings
 /// produced by OrderSemanticsName() round-trip (the shared mapping for
 /// every CLI flag and trace field). Returns nullopt for anything else.
-std::optional<OrderSemantics> ParseOrderSemantics(const std::string& name);
+std::optional<OrderSemantics> ParseOrderSemantics(std::string_view name);
 
 /// The Proposition 2.3 construction: returns D plus fresh sentinel chains
 /// @l1 < ... < @ln and @r1 < ... < @rn with @ln < u < @r1 for every order

@@ -1,6 +1,6 @@
 #include "server/protocol.h"
 
-#include <cstdlib>
+#include <charconv>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -9,6 +9,15 @@
 #include "util/strings.h"
 
 namespace iodb::server {
+
+std::optional<int> ParseBatchCount(std::string_view args) {
+  int n = 0;
+  const char* end = args.data() + args.size();
+  auto [ptr, ec] = std::from_chars(args.data(), end, n);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  if (n < 1 || n > kMaxBatchRequests) return std::nullopt;
+  return n;
+}
 
 ServingState::ServingState(ServiceOptions options,
                            storage::WalSyncOptions sync)
@@ -179,15 +188,13 @@ void ProtocolSession::HandleEval(const std::string& args) {
 }
 
 void ProtocolSession::HandleBatch(const std::string& args, bool* quit) {
-  // Bounded so a single protocol line cannot force a huge
-  // pre-allocation; large workloads stream multiple batches.
-  constexpr int kMaxBatch = 65536;
-  int n = std::atoi(args.c_str());
-  if (n <= 0 || n > kMaxBatch) {
-    Err("BATCH needs a request count in [1, " + std::to_string(kMaxBatch) +
-        "]");
+  const std::optional<int> count = ParseBatchCount(args);
+  if (!count.has_value()) {
+    Err("BATCH needs a request count in [1, " +
+        std::to_string(kMaxBatchRequests) + "]");
     return;
   }
+  const int n = *count;
   // Consume all n request lines BEFORE parsing: a parse failure must
   // not leave unread batch payload to be re-interpreted as protocol
   // commands.

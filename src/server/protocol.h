@@ -21,7 +21,9 @@
 
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "server/line_channel.h"
 #include "service/service.h"
@@ -34,6 +36,15 @@ namespace iodb::server {
 /// Command lines (and BATCH request lines) over this limit are rejected
 /// with a structured error instead of being buffered without bound.
 inline constexpr size_t kMaxLineBytes = size_t{1} << 20;
+
+/// The request count of a BATCH lies in [1, kMaxBatchRequests], so a
+/// single protocol line cannot force a huge pre-allocation; large
+/// workloads stream multiple batches.
+inline constexpr int kMaxBatchRequests = 65536;
+
+/// Parses the argument of "BATCH <n>": a decimal count in
+/// [1, kMaxBatchRequests], else nullopt. iodb_replay scripts share it.
+std::optional<int> ParseBatchCount(std::string_view args);
 
 /// The process-wide serving state: a bare in-memory service, swapped
 /// for a durable registry's service when one is open.

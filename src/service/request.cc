@@ -1,6 +1,7 @@
 #include "service/request.h"
 
 #include <charconv>
+#include <optional>
 #include <vector>
 
 #include "core/semantics.h"
@@ -36,6 +37,49 @@ std::string_view NextToken(std::string_view& rest) {
 
 }  // namespace
 
+Status ParseEvalFlag(std::string_view flag, EvalRequest* request) {
+  auto value_of = [flag](std::string_view name) {
+    return flag.starts_with(name) ? std::optional(flag.substr(name.size()))
+                                  : std::nullopt;
+  };
+  auto bad = [flag](const char* what) {
+    return Status::InvalidArgument(what + std::string(" '") +
+                                   std::string(flag) + "'");
+  };
+  if (flag == "--countermodel") {
+    request->options.want_countermodel = true;
+  } else if (flag == "--explain") {
+    request->explain = true;
+  } else if (flag == "--identity") {
+    request->report_identity = true;
+  } else if (auto value = value_of("--semantics=")) {
+    std::optional<OrderSemantics> semantics = ParseOrderSemantics(*value);
+    if (!semantics.has_value()) return bad("unknown semantics in");
+    request->options.semantics = *semantics;
+  } else if (auto value = value_of("--engine=")) {
+    std::optional<EngineKind> engine = ParseEngineKind(*value);
+    if (!engine.has_value()) return bad("unknown engine in");
+    request->options.engine = *engine;
+  } else if (auto value = value_of("--deadline-ms=")) {
+    if (!ParseNonNegative(*value, &request->deadline_ms)) {
+      return bad("bad deadline in");
+    }
+  } else if (auto value = value_of("--step-budget=")) {
+    if (!ParseNonNegative(*value, &request->step_budget)) {
+      return bad("bad step budget in");
+    }
+  } else if (auto value = value_of("--costing=")) {
+    if (*value != "on" && *value != "off") {
+      return Status::InvalidArgument("bad costing value in '" +
+                                     std::string(flag) + "' (want on|off)");
+    }
+    request->costing = *value == "on" ? 1 : 0;
+  } else {
+    return bad("unknown flag");
+  }
+  return Status::Ok();
+}
+
 Result<EvalRequest> ParseEvalRequest(const std::string& line) {
   std::string_view rest = line;
   EvalRequest request;
@@ -43,50 +87,9 @@ Result<EvalRequest> ParseEvalRequest(const std::string& line) {
   if (request.db.empty()) {
     return Status::InvalidArgument("EVAL request needs a database name");
   }
-  while (rest.rfind("--", 0) == 0) {
-    std::string flag(NextToken(rest));
-    if (flag == "--countermodel") {
-      request.options.want_countermodel = true;
-    } else if (flag == "--explain") {
-      request.explain = true;
-    } else if (flag == "--identity") {
-      request.report_identity = true;
-    } else if (flag.rfind("--semantics=", 0) == 0) {
-      std::optional<OrderSemantics> semantics =
-          ParseOrderSemantics(flag.substr(12));
-      if (!semantics.has_value()) {
-        return Status::InvalidArgument("unknown semantics in '" + flag + "'");
-      }
-      request.options.semantics = *semantics;
-    } else if (flag.rfind("--engine=", 0) == 0) {
-      std::optional<EngineKind> engine = ParseEngineKind(flag.substr(9));
-      if (!engine.has_value()) {
-        return Status::InvalidArgument("unknown engine in '" + flag + "'");
-      }
-      request.options.engine = *engine;
-    } else if (flag.rfind("--deadline-ms=", 0) == 0) {
-      if (!ParseNonNegative(std::string_view(flag).substr(14),
-                            &request.deadline_ms)) {
-        return Status::InvalidArgument("bad deadline in '" + flag + "'");
-      }
-    } else if (flag.rfind("--step-budget=", 0) == 0) {
-      if (!ParseNonNegative(std::string_view(flag).substr(14),
-                            &request.step_budget)) {
-        return Status::InvalidArgument("bad step budget in '" + flag + "'");
-      }
-    } else if (flag.rfind("--costing=", 0) == 0) {
-      const std::string_view value = std::string_view(flag).substr(10);
-      if (value == "on") {
-        request.costing = 1;
-      } else if (value == "off") {
-        request.costing = 0;
-      } else {
-        return Status::InvalidArgument("bad costing value in '" + flag +
-                                       "' (want on|off)");
-      }
-    } else {
-      return Status::InvalidArgument("unknown flag '" + flag + "'");
-    }
+  while (rest.starts_with("--")) {
+    Status status = ParseEvalFlag(NextToken(rest), &request);
+    if (!status.ok()) return status;
   }
   request.query = std::string(rest);
   if (request.query.empty()) {

@@ -1,7 +1,9 @@
 // Request/response types of the evaluation service, plus their
-// line-oriented wire forms (shared by tools/iodb_serve and
-// tools/iodb_replay so the interactive protocol and replayed traces parse
-// identically).
+// line-oriented wire forms. This file and request.cc are the one parser
+// of the request vocabulary: tools/iodb_serve reads EVAL and BATCH
+// lines with it, tools/iodb_replay reads the same lines from a session
+// script, and tools/iodb_eval reads its request flags from argv with
+// ParseEvalFlag.
 //
 // Wire form of an EVAL request (one line):
 //
@@ -10,15 +12,14 @@
 //             [--countermodel] [--explain] [--identity] <query text>
 //
 // Flags follow the database name; the first token that is not a flag
-// starts the query text (query text never begins with "--"). Flag names
-// and values match tools/iodb_eval, so request lines and CLI invocations
-// stay interchangeable.
+// starts the query text (query text never begins with "--").
 
 #ifndef IODB_SERVICE_REQUEST_H_
 #define IODB_SERVICE_REQUEST_H_
 
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "core/engine.h"
 #include "core/model.h"
@@ -82,6 +83,10 @@ struct EvalResponse {
 /// Parses the wire form above. Fails on an empty line, a missing query,
 /// or an unknown flag/semantics/engine value.
 Result<EvalRequest> ParseEvalRequest(const std::string& line);
+
+/// Applies one flag of the wire form (e.g. "--engine=bounded-width") to
+/// `request`. Fails on an unknown flag or a bad value.
+Status ParseEvalFlag(std::string_view flag, EvalRequest* request);
 
 /// Renders the wire form of `request` (canonical flag order; a parse
 /// round-trips).

@@ -264,7 +264,7 @@ std::vector<Result<EvalResponse>> EvaluationService::EvalBatch(
   }
 
   // Phase 2: group the healthy slots by plan (one group = one
-  // ParallelEvaluateBatch call over its databases) in first-appearance
+  // EvaluateBatch call over its databases) in first-appearance
   // order, so scheduling is deterministic.
   std::unordered_map<const PreparedQuery*, size_t> group_of;
   std::vector<std::vector<size_t>> groups;
@@ -277,7 +277,7 @@ std::vector<Result<EvalResponse>> EvaluationService::EvalBatch(
   }
 
   // Phase 3: evaluate group by group; the pool shards within a group
-  // (duplicate databases are deduped inside ParallelEvaluateBatch, and a
+  // (duplicate databases are deduped inside EvaluateBatch, and a
   // single-database brute-force group shards its enumeration subtrees).
   for (const std::vector<size_t>& group : groups) {
     const PreparedQuery& plan = *slots[group[0]].plan;
@@ -304,7 +304,7 @@ std::vector<Result<EvalResponse>> EvaluationService::EvalBatch(
     }
     if (min_steps >= 0) budget.SetStepLimit(min_steps);
     if (cancel != nullptr) budget.SetCancelToken(cancel);
-    std::vector<Result<EntailResult>> verdicts = plan.ParallelEvaluateBatch(
+    std::vector<Result<EntailResult>> verdicts = plan.EvaluateBatch(
         dbs, num_workers_, budget.limited() ? &budget : nullptr);
     for (size_t k = 0; k < group.size(); ++k) {
       const size_t i = group[k];

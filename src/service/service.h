@@ -16,8 +16,8 @@
 //     cache, so no request can be served from a stale structure;
 //   * a bounded LRU plan cache (service/plan_cache.h) keyed by
 //     (vocabulary uid, plan fingerprint) with hit/miss/eviction counters;
-//   * batch scheduling onto the PR-3 worker pool
-//     (PreparedQuery::ParallelEvaluateBatch): a batch is grouped by
+//   * batch scheduling onto the worker pool
+//     (PreparedQuery::EvaluateBatch): a batch is grouped by
 //     compiled plan, each group fans its databases across the workers,
 //     and results land in their request slots — the response order is
 //     deterministic and independent of scheduling.

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "graph/topo.h"
+#include "graph/union_find.h"
 #include "stats/cost_model.h"
 // Header-only byte codec shared by every on-disk format (no link
 // dependency on the storage layer, which sits above this one).
@@ -19,22 +20,6 @@ constexpr uint8_t kStatsFormatVersion = 1;
 // Bytes of [version u8][uid u64][revision u64]: the identity prefix
 // excluded from ContentFingerprint().
 constexpr size_t kIdentityPrefixBytes = 1 + 8 + 8;
-
-// Union-find over dag vertices for the component histogram.
-struct UnionFind {
-  std::vector<int> parent;
-  explicit UnionFind(int n) : parent(n) {
-    for (int i = 0; i < n; ++i) parent[i] = i;
-  }
-  int Find(int x) {
-    while (parent[x] != x) {
-      parent[x] = parent[parent[x]];
-      x = parent[x];
-    }
-    return x;
-  }
-  void Union(int a, int b) { parent[Find(a)] = Find(b); }
-};
 
 }  // namespace
 

@@ -298,11 +298,11 @@ TEST(BudgetGovernanceTest, ParallelGovernedVerdictMatches) {
     ASSERT_TRUE(plan.ok()) << plan.status().ToString();
     std::vector<const Database*> dbs{&instance.db};
     std::vector<Result<EntailResult>> plain =
-        plan.value().ParallelEvaluateBatch(dbs, 4);
+        plan.value().EvaluateBatch(dbs, 4);
     ExecBudget budget;
     budget.SetStepLimit(1LL << 60);
     std::vector<Result<EntailResult>> governed =
-        plan.value().ParallelEvaluateBatch(dbs, 4, &budget);
+        plan.value().EvaluateBatch(dbs, 4, &budget);
     ASSERT_EQ(plain.size(), 1u);
     ASSERT_EQ(governed.size(), 1u);
     ASSERT_TRUE(plain[0].ok()) << plain[0].status().ToString();

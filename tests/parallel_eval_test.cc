@@ -1,7 +1,7 @@
-// ParallelEvaluateBatch and the sharded brute-force enumeration: the
-// parallel paths must return results identical to their serial
-// counterparts — verdict, engine, and countermodel — regardless of
-// worker count, with results landing in their input slots.
+// EvaluateBatch with num_workers > 1 and the sharded brute-force
+// enumeration: the parallel paths must return results identical to the
+// serial num_workers = 1 run — verdict, engine, and countermodel —
+// regardless of worker count, with results landing in their input slots.
 
 #include <atomic>
 #include <string>
@@ -64,9 +64,10 @@ TEST(ParallelEvaluateBatchTest, SchedulingFleetMatchesSerial) {
   std::vector<const Database*> dbs;
   for (const SchedulingScenario& scenario : fleet) dbs.push_back(&scenario.db);
 
-  const std::vector<Result<EntailResult>> serial = plan.EvaluateBatch(dbs);
+  const std::vector<Result<EntailResult>> serial =
+      plan.EvaluateBatch(dbs, /*num_workers=*/1);
   for (int workers : {2, 4}) {
-    ExpectSameResults(serial, plan.ParallelEvaluateBatch(dbs, workers));
+    ExpectSameResults(serial, plan.EvaluateBatch(dbs, workers));
   }
 }
 
@@ -76,8 +77,9 @@ TEST(ParallelEvaluateBatchTest, DuplicateDatabasePointersShareOneEvaluation) {
   SchedulingScenario scenario = MakeSchedulingScenario(2, 3, rng, vocab);
   PreparedQuery plan = PrepareForbiddenPlan(scenario);
   std::vector<const Database*> dbs(5, &scenario.db);
-  const std::vector<Result<EntailResult>> serial = plan.EvaluateBatch(dbs);
-  ExpectSameResults(serial, plan.ParallelEvaluateBatch(dbs, 4));
+  const std::vector<Result<EntailResult>> serial =
+      plan.EvaluateBatch(dbs, /*num_workers=*/1);
+  ExpectSameResults(serial, plan.EvaluateBatch(dbs, 4));
 }
 
 TEST(ParallelEvaluateBatchTest, TransformPlansShareTheGuardedCache) {
@@ -105,9 +107,9 @@ TEST(ParallelEvaluateBatchTest, TransformPlansShareTheGuardedCache) {
   std::vector<const Database*> dbs;
   for (const Database& db : fleet) dbs.push_back(&db);
   const std::vector<Result<EntailResult>> serial =
-      plan.value().EvaluateBatch(dbs);
+      plan.value().EvaluateBatch(dbs, /*num_workers=*/1);
   for (int round = 0; round < 3; ++round) {  // warm + cached rounds
-    ExpectSameResults(serial, plan.value().ParallelEvaluateBatch(dbs, 4));
+    ExpectSameResults(serial, plan.value().EvaluateBatch(dbs, 4));
   }
 }
 
@@ -194,9 +196,10 @@ TEST(ParallelEvaluateBatchTest, BatchSlotsReportIdenticalCounters) {
   dbs.push_back(&fleet[2].db);  // duplicate slots
   dbs.push_back(&fleet[0].db);
 
-  const std::vector<Result<EntailResult>> serial = plan.EvaluateBatch(dbs);
+  const std::vector<Result<EntailResult>> serial =
+      plan.EvaluateBatch(dbs, /*num_workers=*/1);
   const std::vector<Result<EntailResult>> parallel =
-      plan.ParallelEvaluateBatch(dbs, 4);
+      plan.EvaluateBatch(dbs, 4);
   ASSERT_EQ(serial.size(), parallel.size());
   for (size_t i = 0; i < serial.size(); ++i) {
     ASSERT_EQ(serial[i].ok(), parallel[i].ok()) << "slot " << i;
@@ -231,8 +234,8 @@ TEST(ParallelEvaluateBatchTest, SingleDatabaseShardsTheEnumeration) {
 
   std::vector<const Database*> dbs{&db};
   const std::vector<Result<EntailResult>> serial =
-      plan.value().EvaluateBatch(dbs);
-  ExpectSameResults(serial, plan.value().ParallelEvaluateBatch(dbs, 4));
+      plan.value().EvaluateBatch(dbs, /*num_workers=*/1);
+  ExpectSameResults(serial, plan.value().EvaluateBatch(dbs, 4));
 }
 
 }  // namespace

@@ -9,11 +9,15 @@
 //             [--costing=on|off] [--countermodel] [--explain]
 //
 // Reads a database in the parser's text format from DB_FILE and evaluates
-// the query (also text format) against it. --costing=on (the default)
-// feeds the database's statistics-backed cost model (src/stats) into
-// Prepare(), which may reorder conjunct schedules and disjuncts and
-// suggest an engine route; --costing=off plans from the pure
-// topological order. Costing never changes verdicts. --db-snapshot=PATH replaces
+// the query (also text format) against it. The request flags are parsed
+// by ParseEvalFlag (service/request.h), as in an EVAL request line, so
+// request lines and CLI invocations stay interchangeable; the serving
+// flags --deadline-ms, --step-budget and --identity are rejected, since
+// nothing is served. --costing=on (the default) feeds the database's
+// statistics-backed cost model (src/stats) into Prepare(), which may
+// reorder conjunct schedules and disjuncts and suggest an engine route;
+// --costing=off plans from the pure topological order. Costing never
+// changes verdicts. --db-snapshot=PATH replaces
 // DB_FILE with a binary snapshot (storage/snapshot.h; write one with
 // iodb_pack) and skips the text parser entirely — the vocabulary and
 // database identity come from the file. The query comes from exactly
@@ -38,6 +42,7 @@
 #include "core/parser.h"
 #include "core/prepare.h"
 #include "core/printer.h"
+#include "service/request.h"
 #include "stats/stats.h"
 #include "storage/snapshot.h"
 
@@ -66,9 +71,7 @@ int main(int argc, char** argv) {
   using namespace iodb;
   if (argc < 2) return Fail(kUsage);
 
-  EntailOptions options;
-  bool explain = false;
-  bool costing = true;
+  EvalRequest request;
   std::string db_file;
   std::string db_snapshot;
   std::string query_arg;
@@ -76,39 +79,15 @@ int main(int argc, char** argv) {
   int positionals = 0;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    if (arg == "--countermodel") {
-      options.want_countermodel = true;
-    } else if (arg == "--explain") {
-      explain = true;
-    } else if (arg.rfind("--query-file=", 0) == 0) {
+    if (arg.rfind("--query-file=", 0) == 0) {
       query_file = arg.substr(13);
       if (query_file.empty()) return Fail("--query-file needs a path");
     } else if (arg.rfind("--db-snapshot=", 0) == 0) {
       db_snapshot = arg.substr(14);
       if (db_snapshot.empty()) return Fail("--db-snapshot needs a path");
-    } else if (arg.rfind("--semantics=", 0) == 0) {
-      std::string value = arg.substr(12);
-      std::optional<OrderSemantics> semantics = ParseOrderSemantics(value);
-      if (!semantics.has_value()) {
-        return Fail("unknown semantics '" + value + "'");
-      }
-      options.semantics = *semantics;
-    } else if (arg.rfind("--engine=", 0) == 0) {
-      std::string value = arg.substr(9);
-      std::optional<EngineKind> kind = ParseEngineKind(value);
-      if (!kind.has_value()) return Fail("unknown engine '" + value + "'");
-      options.engine = *kind;
-    } else if (arg.rfind("--costing=", 0) == 0) {
-      std::string value = arg.substr(10);
-      if (value == "on") {
-        costing = true;
-      } else if (value == "off") {
-        costing = false;
-      } else {
-        return Fail("bad costing value '" + value + "' (want on|off)");
-      }
-    } else if (arg.rfind("--", 0) == 0 && arg != "-") {
-      return Fail("unknown flag '" + arg + "'");
+    } else if (arg.rfind("--", 0) == 0) {
+      Status status = ParseEvalFlag(arg, &request);
+      if (!status.ok()) return Fail(status.message());
     } else if (positionals == 0 && db_snapshot.empty()) {
       // Without --db-snapshot the first positional is the database
       // text file; with it, every positional is query text.
@@ -121,6 +100,12 @@ int main(int argc, char** argv) {
       return Fail(kUsage);
     }
   }
+  if (request.deadline_ms >= 0 || request.step_budget >= 0 ||
+      request.report_identity) {
+    return Fail("--deadline-ms, --step-budget and --identity apply only to "
+                "served requests (iodb_serve)");
+  }
+  EntailOptions& options = request.options;
   if (db_file.empty() && db_snapshot.empty()) return Fail(kUsage);
   if (!db_snapshot.empty() && !db_file.empty()) {
     // --db-snapshot appeared after a positional: that positional was
@@ -175,10 +160,10 @@ int main(int argc, char** argv) {
   Result<Query> query = ParseQuery(query_text, vocab);
   if (!query.ok()) return Fail("query: " + query.status().ToString());
 
-  if (costing) options.planner = stats::PlannerFor(db.value());
+  if (request.costing != 0) options.planner = stats::PlannerFor(db.value());
   Result<PreparedQuery> prepared = Prepare(vocab, query.value(), options);
   if (!prepared.ok()) return Fail(prepared.status().ToString());
-  if (explain) std::printf("%s", prepared.value().Explain().c_str());
+  if (request.explain) std::printf("%s", prepared.value().Explain().c_str());
 
   Result<EntailResult> result = prepared.value().Evaluate(db.value());
   if (!result.ok()) return Fail(result.status().ToString());
@@ -192,7 +177,7 @@ int main(int argc, char** argv) {
     std::printf("countermodel: %s\n",
                 result.value().countermodel->ToString().c_str());
   }
-  if (explain) {
+  if (request.explain) {
     std::printf("%s",
                 prepared.value().ExplainEvaluation(result.value()).c_str());
   }

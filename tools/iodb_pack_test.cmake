@@ -101,12 +101,9 @@ if(NOT rc EQUAL 1 OR NOT "${out}" MATCHES "^NOT ENTAILED")
 endif()
 
 # --- iodb_replay --db-snapshot ----------------------------------------------
-set(trace "${WORK_DIR}/iodb_pack_cli.trace.json")
-file(WRITE "${trace}" "[
-  {\"op\": \"eval\", \"db\": \"snapdb\", \"query\": \"${query}\"}
-]
-")
-execute_process(COMMAND ${IODB_REPLAY} "${trace}"
+set(script "${WORK_DIR}/iodb_pack_cli.replay")
+file(WRITE "${script}" "EVAL snapdb ${query}\n")
+execute_process(COMMAND ${IODB_REPLAY} "${script}"
     --db-snapshot=snapdb=${db_snap}
   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
 if(NOT rc EQUAL 0

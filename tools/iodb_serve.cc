@@ -39,16 +39,16 @@
 //   INFO [<name>]        -> "OK db=<name> atoms=<n> uid=<u> revision=<r>"
 //                        or, with no name, the service identity:
 //                        "OK databases=<n> vocab-uid=<u>"
-//   EVAL <request>       <request> is the wire form of service/request.h:
-//                        <db> [--semantics=...] [--engine=...]
-//                        [--countermodel] [--explain] [--identity] <query>
+//   EVAL <request>       <request> is the wire form of service/request.h
+//                        (the flag list lives there): <db> [flags] <query>
 //                        -> verdict line "ENTAILED  [engine: ..., cache:
 //                        hit|miss]", then optional "countermodel: ..."
 //                        and explain lines; --identity adds the pinned
 //                        snapshot's "db: <uid>@<revision>" to the
 //                        verdict line
-//   BATCH <n>            the next n lines are EVAL request lines, served
-//                        as one batch through the worker pool
+//   BATCH <n>            the next n lines (n in [1, 65536]) are EVAL
+//                        request lines, served as one batch through the
+//                        worker pool
 //                        -> n verdict lines, in request order
 //   STATS                -> the service counters, one "name value" per
 //                        line, terminated by "OK"

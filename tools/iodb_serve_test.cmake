@@ -5,10 +5,9 @@
 # Drives a scripted LOAD/EVAL/BATCH/STATS session through iodb_serve and
 # compares the full stdout against a golden transcript (the protocol is
 # deterministic by design: verdicts, engine names, cache hit/miss states
-# and counters are all scheduling-independent). Then replays an
-# equivalent JSON trace through iodb_replay and checks the report's
-# deterministic lines (request/verdict/cache counts; timings are not
-# matched).
+# and counters are all scheduling-independent). Then replays session
+# scripts through iodb_replay and checks the report's deterministic lines
+# (request/verdict/cache counts; timings are not matched).
 
 if(NOT DEFINED IODB_SERVE OR NOT DEFINED IODB_REPLAY OR NOT DEFINED WORK_DIR)
   message(FATAL_ERROR
@@ -106,6 +105,26 @@ endif()
 if(NOT "${out}" MATCHES "ERR request 0: INVALID_ARGUMENT"
    OR NOT "${out}" MATCHES "databases +1\n")
   message(FATAL_ERROR "iodb_serve desync transcript unexpected:\n${out}")
+endif()
+
+# A BATCH count must be a decimal in [1, 65536]; a bad one is rejected
+# before any payload is read, and the session continues.
+set(count_session "${WORK_DIR}/iodb_serve_cli.batchcount")
+file(WRITE "${count_session}" "BATCH 2x
+BATCH 99999999999
+BATCH 65537
+STATS
+QUIT
+")
+execute_process(COMMAND ${IODB_SERVE}
+  INPUT_FILE "${count_session}"
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+string(REGEX MATCHALL "ERR BATCH needs a request count in \\[1, 65536\\]"
+  count_errors "${out}")
+list(LENGTH count_errors count_errors)
+if(NOT rc EQUAL 0 OR NOT count_errors EQUAL 3
+   OR NOT "${out}" MATCHES "batches +0\n")
+  message(FATAL_ERROR "iodb_serve BATCH count session unexpected:\n${out}")
 endif()
 
 # Flag errors exit 2 before serving anything.
@@ -379,29 +398,55 @@ QUIT
 endif()
 
 # --- iodb_replay: deterministic report lines -------------------------------
+# iodb_replay reads iodb_serve session scripts, so each script below is
+# also piped into iodb_serve, whose verdict lines must agree with the
+# replay's verdict counts.
 
-set(trace "${WORK_DIR}/iodb_serve_cli.trace.json")
-file(WRITE "${trace}" "[
-  {\"op\": \"load\", \"db\": \"base\", \"text\": \"P(u)\\nQ(v)\\nu < v\"},
-  {\"op\": \"eval\", \"db\": \"base\",
-   \"query\": \"exists t1 t2: P(t1) & t1 < t2 & Q(t2)\"},
-  {\"op\": \"eval\", \"db\": \"base\",
-   \"query\": \"exists t1 t2: Q(t1) & t1 < t2 & P(t2)\"},
-  {\"op\": \"eval\", \"db\": \"base\", \"query\": \"exists t: P(t)\",
-   \"engine\": \"brute-force\"}
-]
+# Serves `script_file` through iodb_serve and sets <prefix>_entailed and
+# <prefix>_not_entailed to the counts of its verdict lines.
+function(serve_verdicts script_file prefix)
+  execute_process(COMMAND ${IODB_SERVE}
+    INPUT_FILE "${script_file}"
+    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 0 OR "${out}" MATCHES "(^|\n)ERR ")
+    message(FATAL_ERROR "iodb_serve < ${script_file}: exit ${rc}\n${out}\n${err}")
+  endif()
+  string(REGEX MATCHALL "(^|\n)ENTAILED" yes "${out}")
+  string(REGEX MATCHALL "(^|\n)NOT ENTAILED" no "${out}")
+  list(LENGTH yes yes_count)
+  list(LENGTH no no_count)
+  set(${prefix}_entailed ${yes_count} PARENT_SCOPE)
+  set(${prefix}_not_entailed ${no_count} PARENT_SCOPE)
+endfunction()
+
+set(script "${WORK_DIR}/iodb_serve_cli.replay")
+file(WRITE "${script}" "# replay script (comments are ignored)
+LOAD base
+P(u)
+Q(v)
+u < v
+END
+
+EVAL base exists t1 t2: P(t1) & t1 < t2 & Q(t2)
+EVAL base exists t1 t2: Q(t1) & t1 < t2 & P(t2)
+EVAL base --engine=brute-force exists t: P(t)
+QUIT
 ")
 
-execute_process(COMMAND ${IODB_REPLAY} "${trace}" --repeat=3
+execute_process(COMMAND ${IODB_REPLAY} "${script}" --repeat=3
   RESULT_VARIABLE rc
   OUTPUT_VARIABLE out
   ERROR_VARIABLE err)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "iodb_replay: exit ${rc}\nstdout: ${out}\nstderr: ${err}")
 endif()
+serve_verdicts("${script}" served)
+math(EXPR want_entailed "3 * ${served_entailed}")
+math(EXPR want_not_entailed "3 * ${served_not_entailed}")
 foreach(pattern
     "replayed 9 request\\(s\\)"
     "verdicts: 6 entailed, 3 not entailed, 0 error\\(s\\)"
+    "verdicts: ${want_entailed} entailed, ${want_not_entailed} not entailed"
     "outcomes: 9 ok, 0 deadline-exceeded, 0 cancelled, 0 error\\(s\\)"
     "latency us: p50="
     "plan cache: 6 hit\\(s\\), 3 miss\\(es\\), 0 eviction\\(s\\), 3 compiled")
@@ -410,22 +455,22 @@ foreach(pattern
   endif()
 endforeach()
 
-# A governed trace: the zero-step-budget request is counted per status
+# A governed script: the zero-step-budget request is counted per status
 # code ("deadline-exceeded", excluded from latency percentiles) while the
 # ungoverned request completes.
-set(gov_trace "${WORK_DIR}/iodb_serve_cli.gov.json")
-file(WRITE "${gov_trace}" "[
-  {\"op\": \"load\", \"db\": \"base\", \"text\": \"P(u)\\nQ(v)\\nu < v\"},
-  {\"op\": \"eval\", \"db\": \"base\",
-   \"query\": \"exists t1 t2: P(t1) & t1 < t2 & Q(t2)\"},
-  {\"op\": \"eval\", \"db\": \"base\", \"step_budget\": 0,
-   \"query\": \"exists t1 t2: P(t1) & t1 < t2 & Q(t2)\"}
-]
+set(gov_script "${WORK_DIR}/iodb_serve_cli.gov.replay")
+file(WRITE "${gov_script}" "LOAD base
+P(u)
+Q(v)
+u < v
+END
+EVAL base exists t1 t2: P(t1) & t1 < t2 & Q(t2)
+EVAL base --step-budget=0 exists t1 t2: P(t1) & t1 < t2 & Q(t2)
 ")
-execute_process(COMMAND ${IODB_REPLAY} "${gov_trace}"
+execute_process(COMMAND ${IODB_REPLAY} "${gov_script}"
   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
 if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "iodb_replay governed trace: exit ${rc}\n${out}\n${err}")
+  message(FATAL_ERROR "iodb_replay governed script: exit ${rc}\n${out}\n${err}")
 endif()
 if(NOT "${out}" MATCHES "outcomes: 1 ok, 1 deadline-exceeded, 0 cancelled, 0 error\\(s\\)")
   message(FATAL_ERROR "iodb_replay governed outcomes mismatch\n${out}")
@@ -434,53 +479,82 @@ endif()
 # Regression: when EVERY request is excluded from the latency population
 # (here: all exhausted), the percentiles must print "n/a", not a
 # fabricated 0.0 measurement.
-set(empty_lat_trace "${WORK_DIR}/iodb_serve_cli.emptylat.json")
-file(WRITE "${empty_lat_trace}" "[
-  {\"op\": \"load\", \"db\": \"base\", \"text\": \"P(u)\\nQ(v)\\nu < v\"},
-  {\"op\": \"eval\", \"db\": \"base\", \"step_budget\": 0,
-   \"query\": \"exists t1 t2: P(t1) & t1 < t2 & Q(t2)\"},
-  {\"op\": \"eval\", \"db\": \"base\", \"step_budget\": 0,
-   \"query\": \"exists t1 t2: Q(t1) & t1 < t2 & P(t2)\"}
-]
+set(empty_lat_script "${WORK_DIR}/iodb_serve_cli.emptylat.replay")
+file(WRITE "${empty_lat_script}" "LOAD base
+P(u)
+Q(v)
+u < v
+END
+EVAL base --step-budget=0 exists t1 t2: P(t1) & t1 < t2 & Q(t2)
+EVAL base --step-budget=0 exists t1 t2: Q(t1) & t1 < t2 & P(t2)
 ")
-execute_process(COMMAND ${IODB_REPLAY} "${empty_lat_trace}"
+execute_process(COMMAND ${IODB_REPLAY} "${empty_lat_script}"
   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
 if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "iodb_replay empty-latency trace: exit ${rc}\n${err}")
+  message(FATAL_ERROR "iodb_replay empty-latency script: exit ${rc}\n${err}")
 endif()
 if(NOT "${out}" MATCHES "outcomes: 0 ok, 2 deadline-exceeded, 0 cancelled, 0 error\\(s\\)"
    OR NOT "${out}" MATCHES "latency us: p50=n/a p90=n/a p99=n/a max=n/a")
   message(FATAL_ERROR "iodb_replay empty-latency report mismatch\n${out}")
 endif()
 
-# The batched path serves the same verdicts through the worker pool.
-execute_process(COMMAND ${IODB_REPLAY} "${trace}" --batch=3 --workers=2
+# A BATCH serves the same verdicts through the worker pool.
+set(batch_script "${WORK_DIR}/iodb_serve_cli.batch.replay")
+file(WRITE "${batch_script}" "LOAD base
+P(u)
+Q(v)
+u < v
+END
+BATCH 3
+base exists t1 t2: P(t1) & t1 < t2 & Q(t2)
+base exists t1 t2: Q(t1) & t1 < t2 & P(t2)
+base --engine=brute-force exists t: P(t)
+")
+execute_process(COMMAND ${IODB_REPLAY} "${batch_script}" --workers=2
   RESULT_VARIABLE rc
   OUTPUT_VARIABLE out
   ERROR_VARIABLE err)
 if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "iodb_replay --batch: exit ${rc}\n${out}\n${err}")
+  message(FATAL_ERROR "iodb_replay BATCH: exit ${rc}\n${out}\n${err}")
 endif()
-if(NOT "${out}" MATCHES "verdicts: 2 entailed, 1 not entailed, 0 error\\(s\\)")
-  message(FATAL_ERROR "iodb_replay --batch verdict mismatch\n${out}")
-endif()
-
-# A malformed trace is a usage error, not a crash.
-set(bad_trace "${WORK_DIR}/iodb_serve_cli.bad.json")
-file(WRITE "${bad_trace}" "{\"op\": \"eval\"}")
-execute_process(COMMAND ${IODB_REPLAY} "${bad_trace}"
-  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
-if(NOT rc EQUAL 2 OR NOT "${err}" MATCHES "trace must be a JSON array")
-  message(FATAL_ERROR "iodb_replay bad trace: exit ${rc}, want 2\n${err}")
+serve_verdicts("${batch_script}" served)
+if(NOT "${out}" MATCHES "verdicts: 2 entailed, 1 not entailed, 0 error\\(s\\)"
+   OR NOT "${out}" MATCHES
+     "verdicts: ${served_entailed} entailed, ${served_not_entailed} not")
+  message(FATAL_ERROR "iodb_replay BATCH verdict mismatch (iodb_serve: "
+    "${served_entailed} entailed, ${served_not_entailed} not)\n${out}")
 endif()
 
-# ... including a malformed number (the scanner accepts it; stod rejects).
-set(bad_number "${WORK_DIR}/iodb_serve_cli.badnum.json")
-file(WRITE "${bad_number}" "[{\"op\": \"eval\", \"db\": \"a\", \"n\": -}]")
-execute_process(COMMAND ${IODB_REPLAY} "${bad_number}"
-  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
-if(NOT rc EQUAL 2 OR NOT "${err}" MATCHES "malformed number")
-  message(FATAL_ERROR "iodb_replay bad number: exit ${rc}, want 2\n${err}")
-endif()
+# A malformed script is a usage error naming its line, not a crash.
+function(expect_bad_script name content want)
+  set(bad "${WORK_DIR}/iodb_serve_cli.bad-${name}.replay")
+  file(WRITE "${bad}" "${content}")
+  execute_process(COMMAND ${IODB_REPLAY} "${bad}"
+    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 2 OR NOT "${err}" MATCHES "${want}")
+    message(FATAL_ERROR "iodb_replay bad script '${name}': exit ${rc}, "
+      "want 2 and '${want}'\n${err}")
+  endif()
+endfunction()
+set(load "LOAD base\nP(u)\nEND\n")
+expect_bad_script(verb "${load}STATS\n" "line 4: unknown verb 'STATS'")
+expect_bad_script(flag "${load}EVAL base --bogus exists t: P(t)\n"
+  "line 4: unknown flag '--bogus'")
+expect_bad_script(batch-line "${load}BATCH 2\nbase exists t: P(t)\nbase\n"
+  "line 6: EVAL request needs a query")
+expect_bad_script(unterminated "# db\nLOAD base\nP(u)\n"
+  "line 2: unterminated LOAD")
+expect_bad_script(late-load "${load}EVAL base exists t: P(t)\n${load}"
+  "line 5: LOAD after the first request")
+expect_bad_script(batch-zero "${load}BATCH 0\n"
+  "line 4: BATCH needs a request count in \\[1, 65536\\]")
+expect_bad_script(batch-huge "${load}BATCH 65537\n"
+  "line 4: BATCH needs a request count in \\[1, 65536\\]")
+expect_bad_script(batch-junk "${load}BATCH 2x\n"
+  "line 4: BATCH needs a request count in \\[1, 65536\\]")
+expect_bad_script(batch-short "${load}BATCH 3\nbase exists t: P(t)\n"
+  "line 4: BATCH 3 ends after 1 request line")
+expect_bad_script(empty "${load}QUIT\nEVAL base exists t: P(t)\n"
+  "script has no requests")
 
 message(STATUS "iodb_serve/iodb_replay CLI test passed")
