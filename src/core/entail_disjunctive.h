@@ -22,16 +22,24 @@
 // within the paper's bound and enumeration has (amortized) polynomial
 // delay between outputs, mirroring the paper's remark after Theorem 5.3.
 //
+// The sorting step itself (which groups of unsorted points may form the
+// next point, S1/S2 plus the Section 7 "!=" rule) is not this engine's:
+// it comes from core/minimal_models.h, the same code minimal-model
+// enumeration runs. The engine adds the path positions, their advance
+// sets, the product over disjuncts, the failed-state memo and
+// countermodel reporting.
+//
 // Production runs on the database's shared reachability context. The
 // search itself takes one of two forms with the same state space, group
-// order and countermodel sequence: a word-mask form when the database
-// has at most 64 points, the query at most 5 disjuncts, every label
-// predicate id is below 64 and every disjunct has at most 64 order
-// variables (regions, groups, labels and path-position marks are single
-// machine words, and the loop allocates only to memoize failed states);
-// otherwise a general form with per-pair probes (interval probes past 64
-// points). The differential tests run the general form on an injected
-// closure-backed context as the oracle (tests/oracle/).
+// order and countermodel sequence: a word-mask form (ForEachGroupMask)
+// when the database has at most 64 points, the query at most 5
+// disjuncts, every label predicate id is below 64 and every disjunct has
+// at most 64 order variables (regions, groups, labels and path-position
+// marks are single machine words, and the loop allocates only to memoize
+// failed states); otherwise the general form (GroupChooser) with
+// per-pair probes (interval probes past 64 points). The differential
+// tests run the general form on an injected closure-backed context as
+// the oracle (tests/oracle/).
 
 #ifndef IODB_CORE_ENTAIL_DISJUNCTIVE_H_
 #define IODB_CORE_ENTAIL_DISJUNCTIVE_H_
@@ -49,9 +57,9 @@ namespace iodb {
 /// monadic [<,<=]-queries over [<,<=,!=]-databases of width k.
 ///
 /// Uses the context's budget (charged once per search state and once per
-/// group candidate; partially explored states are never memoized as
-/// failed), countermodel request, callback, `already_reduced` and order
-/// source. With a callback every countermodel found is reported; the
+/// group the sorting step offers; partially explored states are never
+/// memoized as failed), countermodel request, callback, `already_reduced`
+/// and order source. With a callback every countermodel found is reported; the
 /// same model may be reported more than once, reached through different
 /// path choices (the paper's enumeration has the same redundancy).
 /// `states_visited` counts search states.

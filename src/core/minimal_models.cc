@@ -10,340 +10,149 @@
 namespace iodb {
 namespace {
 
-// Shared group-prefix bookkeeping: the exact group prefix handed to the
-// callbacks, with popped inner vectors parked in `spare` so their
-// capacity is reused (no steady-state allocation).
-struct GroupStack {
-  std::vector<std::vector<int>> groups;
-  std::vector<std::vector<int>> spare;
-
-  // Borrows a pooled vector as groups[depth] (depth == groups.size()).
-  std::vector<int>& Acquire() {
-    if (spare.empty()) {
-      groups.emplace_back();
-    } else {
-      groups.push_back(std::move(spare.back()));
-      spare.pop_back();
+// Minimal-model enumeration on the general form of the sorting step.
+bool SortGeneral(GroupChooser& chooser, const ModelVisitor& visitor) {
+  if (chooser.empty()) {
+    return visitor.on_model == nullptr || visitor.on_model(chooser.groups());
+  }
+  const int depth = static_cast<int>(chooser.groups().size());
+  return chooser.ForEachGroup([&](const std::vector<int>& group) {
+    if (visitor.on_group != nullptr && !visitor.on_group(depth, group)) {
+      return true;  // prunes this branch only
     }
-    groups.back().clear();
-    return groups.back();
-  }
+    chooser.Remove(group);
+    const bool keep_going = SortGeneral(chooser, visitor);
+    chooser.Restore(group);
+    return keep_going;
+  });
+}
 
-  void Release() {
-    spare.push_back(std::move(groups.back()));
-    groups.pop_back();
-  }
-};
-
-// Incremental enumerator, general form (any point count, index or
-// closure probes). The removed set is always a down-set of the dag (groups
-// are down-closures of minor antichains), so for alive u, v a strict
-// path u -> v in the full dag never passes through a removed vertex;
-// hence "v is minor within the alive subgraph" is exactly
-// "strict_in_[v] == 0" where strict_in_[v] counts the alive u with a
-// strict path u -> v. Push/pop of a group maintains the counts via the
-// precomputed strict-reachability adjacency instead of re-deriving minor
-// vertices from scratch per node.
-struct Enumerator {
-  const NormDb& db;
+// Minimal-model enumeration on the mask form: the region is one word, and
+// the group vectors handed to the visitor are materialized per group.
+struct MaskSort {
   const ModelVisitor& visitor;
   const EnumerationContext& ctx;
-  std::vector<uint8_t> alive;
-  std::vector<int> strict_in;
-  std::vector<uint8_t> in_group;  // scratch for inequality checks
-  int alive_count;
-  ReachProbeStats rstats;
-  GroupStack stack;
+  ReachProbeStats& stats;
+  group_choice_internal::GroupStack stack;
 
-  // Per-depth scratch (candidates + chosen antichain). Sized up front so
-  // references stay valid across recursion.
-  struct Level {
-    std::vector<int> candidates;
-    std::vector<int> chosen;
-  };
-  std::vector<Level> levels;
-
-  Enumerator(const NormDb& d, const EnumerationContext& c,
-             const ModelVisitor& v)
-      : db(d),
-        visitor(v),
-        ctx(c),
-        alive(d.num_points(), 1),
-        strict_in(c.strict_in_all_alive),
-        in_group(d.num_points(), 0),
-        alive_count(d.num_points()),
-        levels(d.num_points() + 1) {
-    stack.groups.reserve(d.num_points());
-    stack.spare.reserve(d.num_points());
-  }
-
-  bool GroupRespectsInequalities(const std::vector<int>& group) {
-    if (db.inequalities.empty()) return true;
-    for (int g : group) in_group[g] = 1;
-    bool ok = true;
-    for (const auto& [u, v] : db.inequalities) {
-      if (in_group[u] && in_group[v]) {
-        ok = false;
-        break;
-      }
-    }
-    for (int g : group) in_group[g] = 0;
-    return ok;
-  }
-
-  void Apply(const std::vector<int>& group) {
-    for (int g : group) {
-      alive[g] = 0;
-      --alive_count;
-      for (int k = ctx.strict_out_off[g]; k < ctx.strict_out_off[g + 1];
-           ++k) {
-        --strict_in[ctx.strict_out[k]];
-      }
-    }
-  }
-
-  void Unapply(const std::vector<int>& group) {
-    for (int g : group) {
-      alive[g] = 1;
-      ++alive_count;
-      for (int k = ctx.strict_out_off[g]; k < ctx.strict_out_off[g + 1];
-           ++k) {
-        ++strict_in[ctx.strict_out[k]];
-      }
-    }
-  }
-
-  // Returns false iff the enumeration was stopped by on_model.
-  bool Recurse() {
-    if (alive_count == 0) {
+  bool Sort(uint64_t alive) {
+    if (alive == 0) {
       return visitor.on_model == nullptr || visitor.on_model(stack.groups);
     }
     const int depth = static_cast<int>(stack.groups.size());
-    Level& level = levels[depth];
-    level.candidates.clear();
-    for (int v = 0; v < db.num_points(); ++v) {
-      if (!alive[v]) continue;
-      // The minor test is one O(1) counter read served by the
-      // reachability layer's precomputed strict adjacency.
-      ++rstats.probes;
-      ++rstats.fast_hits;
-      if (strict_in[v] == 0) level.candidates.push_back(v);
-    }
-    // A consistent database always has a minor vertex while nonempty.
-    IODB_CHECK(!level.candidates.empty());
-    level.chosen.clear();
-    return EnumerateAntichains(depth, 0);
-  }
-
-  bool EnumerateAntichains(int depth, size_t next) {
-    Level& level = levels[depth];
-    for (size_t i = next; i < level.candidates.size(); ++i) {
-      const int v = level.candidates[i];
-      bool independent = true;
-      for (int u : level.chosen) {
-        if (ctx.Comparable(u, v, &rstats)) {
-          independent = false;
-          break;
-        }
+    // Scalars captured by value, as in the Theorem 5.3 search's walk.
+    auto place = [this, depth, alive](uint64_t group_mask) {
+      std::vector<int>& group = stack.Push();
+      for (uint64_t g = group_mask; g != 0; g &= g - 1) {
+        group.push_back(std::countr_zero(g));
       }
-      if (!independent) continue;
-      level.chosen.push_back(v);
-      // The down-closure of the chosen antichain within the minor set.
-      std::vector<int>& group = stack.Acquire();
-      for (int m : level.candidates) {
-        for (int a : level.chosen) {
-          if (ctx.Reaches(m, a, &rstats)) {
-            group.push_back(m);
-            break;
-          }
-        }
-      }
-      if (GroupRespectsInequalities(group) &&
-          (visitor.on_group == nullptr ||
-           visitor.on_group(depth, group))) {
-        Apply(group);
-        const bool keep_going = Recurse();
-        Unapply(stack.groups.back());
-        stack.Release();
-        if (!keep_going) return false;
-      } else {
-        stack.Release();
-      }
-      if (!EnumerateAntichains(depth, i + 1)) return false;
-      level.chosen.pop_back();
-    }
-    return true;
-  }
-
-  // Seeds the enumeration with an already-chosen prefix. Each group must
-  // consist of currently-minor vertices (checked), i.e. be a group the
-  // unseeded enumeration could have produced at that depth.
-  void SeedPrefix(const std::vector<std::vector<int>>& prefix) {
-    for (const std::vector<int>& group : prefix) {
-      IODB_CHECK(!group.empty());
-      for (int g : group) {
-        IODB_CHECK(alive[g]);
-        IODB_CHECK_EQ(strict_in[g], 0);
-      }
-      std::vector<int>& stored = stack.Acquire();
-      stored.assign(group.begin(), group.end());
-      Apply(stored);
-    }
-  }
-
-  bool Run(const std::vector<std::vector<int>>& prefix) {
-    SeedPrefix(prefix);
-    const bool completed = Recurse();
-    if (visitor.stats != nullptr) {
-      visitor.stats->AddReachProbes(rstats);
-      visitor.stats->index_rebuilds =
-          std::max(visitor.stats->index_rebuilds, ctx.index_rebuilds());
-    }
-    return completed;
-  }
-};
-
-// Word-mask enumerator for databases of at most 64 points: the alive
-// set, the minor test, antichain independence, and group down-closures
-// all become single-word operations on the context's index-derived
-// masks. Visits exactly the same group sequences as the general
-// enumerator (candidates and group members are produced in increasing
-// vertex order either way).
-struct MaskEnumerator {
-  const NormDb& db;
-  const ModelVisitor& visitor;
-  const EnumerationContext& ctx;
-  uint64_t alive_mask;
-  ReachProbeStats rstats;
-  GroupStack stack;
-
-  struct Level {
-    std::vector<int> candidates;
-    uint64_t minors = 0;
-  };
-  std::vector<Level> levels;
-
-  MaskEnumerator(const NormDb& d, const EnumerationContext& c,
-                 const ModelVisitor& v)
-      : db(d),
-        visitor(v),
-        ctx(c),
-        alive_mask(d.num_points() == 64
-                       ? ~uint64_t{0}
-                       : (uint64_t{1} << d.num_points()) - 1),
-        levels(d.num_points() + 1) {
-    stack.groups.reserve(d.num_points());
-    stack.spare.reserve(d.num_points());
-  }
-
-  bool GroupRespectsInequalities(uint64_t group_mask) const {
-    for (const auto& [u, v] : db.inequalities) {
-      if (((group_mask >> u) & 1) && ((group_mask >> v) & 1)) return false;
-    }
-    return true;
-  }
-
-  bool Recurse() {
-    if (alive_mask == 0) {
-      return visitor.on_model == nullptr || visitor.on_model(stack.groups);
-    }
-    const int depth = static_cast<int>(stack.groups.size());
-    Level& level = levels[depth];
-    level.candidates.clear();
-    uint64_t minors = 0;
-    for (uint64_t rest = alive_mask; rest != 0; rest &= rest - 1) {
-      const int v = std::countr_zero(rest);
-      ++rstats.probes;
-      ++rstats.fast_hits;
-      if ((ctx.strict_anc_mask[v] & alive_mask) == 0) {
-        minors |= rest & (~rest + 1);
-        level.candidates.push_back(v);
-      }
-    }
-    // A consistent database always has a minor vertex while nonempty.
-    IODB_CHECK(minors != 0);
-    level.minors = minors;
-    return EnumerateAntichains(depth, 0, /*incompat=*/0, /*chosen_anc=*/0);
-  }
-
-  // `incompat` accumulates everything comparable to the chosen antichain
-  // (so independence is one bit test); `chosen_anc` accumulates the
-  // ancestor masks of the chosen vertices (so the group down-closure is
-  // one AND against the minor set).
-  bool EnumerateAntichains(int depth, size_t next, uint64_t incompat,
-                           uint64_t chosen_anc) {
-    Level& level = levels[depth];
-    for (size_t i = next; i < level.candidates.size(); ++i) {
-      const int v = level.candidates[i];
-      ++rstats.probes;
-      ++rstats.fast_hits;
-      if ((incompat >> v) & 1) continue;
-      const uint64_t anc_with_v = chosen_anc | ctx.anc_mask[v];
-      const uint64_t group_mask = level.minors & anc_with_v;
-      if (GroupRespectsInequalities(group_mask)) {
-        std::vector<int>& group = stack.Acquire();
-        for (uint64_t g = group_mask; g != 0; g &= g - 1) {
-          group.push_back(std::countr_zero(g));
-        }
-        if (visitor.on_group == nullptr ||
-            visitor.on_group(depth, group)) {
-          alive_mask &= ~group_mask;
-          const bool keep_going = Recurse();
-          alive_mask |= group_mask;
-          stack.Release();
-          if (!keep_going) return false;
-        } else {
-          stack.Release();
-        }
-      }
-      if (!EnumerateAntichains(
-              depth, i + 1,
-              incompat | ctx.desc_mask[v] | ctx.anc_mask[v], anc_with_v)) {
-        return false;
-      }
-    }
-    return true;
-  }
-
-  void SeedPrefix(const std::vector<std::vector<int>>& prefix) {
-    for (const std::vector<int>& group : prefix) {
-      IODB_CHECK(!group.empty());
-      uint64_t group_mask = 0;
-      for (int g : group) {
-        IODB_CHECK((alive_mask >> g) & 1);
-        IODB_CHECK_EQ(ctx.strict_anc_mask[g] & alive_mask, 0u);
-        group_mask |= uint64_t{1} << g;
-      }
-      std::vector<int>& stored = stack.Acquire();
-      stored.assign(group.begin(), group.end());
-      alive_mask &= ~group_mask;
-    }
-  }
-
-  bool Run(const std::vector<std::vector<int>>& prefix) {
-    SeedPrefix(prefix);
-    const bool completed = Recurse();
-    if (visitor.stats != nullptr) {
-      visitor.stats->AddReachProbes(rstats);
-      visitor.stats->index_rebuilds =
-          std::max(visitor.stats->index_rebuilds, ctx.index_rebuilds());
-    }
-    return completed;
+      const bool keep_going =
+          (visitor.on_group != nullptr && !visitor.on_group(depth, group)) ||
+          Sort(alive & ~group_mask);
+      stack.Pop();
+      return keep_going;
+    };
+    return ForEachGroupMask(ctx, alive, stats, place);
   }
 };
 
 bool RunEnumeration(const NormDb& db, const EnumerationContext& context,
                     const std::vector<std::vector<int>>& prefix,
                     const ModelVisitor& visitor) {
+  ReachProbeStats stats;
+  bool completed;
   if (context.has_masks) {
-    MaskEnumerator e(db, context, visitor);
-    return e.Run(prefix);
+    MaskSort sort{visitor, context, stats, {}};
+    sort.stack.groups.reserve(db.num_points());
+    uint64_t alive = db.num_points() == 64
+                         ? ~uint64_t{0}
+                         : (uint64_t{1} << db.num_points()) - 1;
+    // Seed the prefix; each group must be alive and minor (checked).
+    for (const std::vector<int>& group : prefix) {
+      IODB_CHECK(!group.empty());
+      for (int g : group) {
+        IODB_CHECK((alive >> g) & 1);
+        IODB_CHECK_EQ(context.strict_anc_mask[g] & alive, 0u);
+      }
+      for (int g : group) alive &= ~(uint64_t{1} << g);
+      sort.stack.Push().assign(group.begin(), group.end());
+    }
+    completed = sort.Sort(alive);
+  } else {
+    GroupChooser chooser(db, context, stats);
+    for (const std::vector<int>& group : prefix) chooser.Seed(group);
+    completed = SortGeneral(chooser, visitor);
   }
-  Enumerator e(db, context, visitor);
-  return e.Run(prefix);
+  if (visitor.stats != nullptr) {
+    visitor.stats->AddReachProbes(stats);
+    visitor.stats->index_rebuilds =
+        std::max(visitor.stats->index_rebuilds, context.index_rebuilds());
+  }
+  return completed;
 }
 
 }  // namespace
+
+GroupChooser::GroupChooser(const NormDb& db, const EnumerationContext& ctx,
+                           ReachProbeStats& stats)
+    : db_(db),
+      ctx_(ctx),
+      stats_(stats),
+      alive_(db.num_points(), 1),
+      strict_in_(ctx.strict_in_all_alive),
+      alive_count_(db.num_points()),
+      levels_(db.num_points() + 1) {
+  // Reserved so the group a callback holds stays put while nested walks
+  // push theirs: every group takes at least one point.
+  stack_.groups.reserve(db.num_points());
+}
+
+bool GroupChooser::Independent(const Level& level, int v) {
+  for (int u : level.chosen) {
+    if (ctx_.Comparable(u, v, &stats_)) return false;
+  }
+  return true;
+}
+
+bool GroupChooser::PushGroup(const Level& level) {
+  std::vector<int>& group = stack_.Push();
+  for (int m : level.candidates) {
+    for (int a : level.chosen) {
+      if (ctx_.Reaches(m, a, &stats_)) {
+        group.push_back(m);
+        break;
+      }
+    }
+  }
+  for (const auto& [u, v] : db_.inequalities) {
+    if (std::binary_search(group.begin(), group.end(), u) &&
+        std::binary_search(group.begin(), group.end(), v)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+void GroupChooser::Shift(const std::vector<int>& group, int delta) {
+  for (int g : group) {
+    alive_[g] = delta > 0;
+    alive_count_ += delta;
+    for (int k = ctx_.strict_out_off[g]; k < ctx_.strict_out_off[g + 1];
+         ++k) {
+      strict_in_[ctx_.strict_out[k]] += delta;
+    }
+  }
+}
+
+void GroupChooser::Seed(const std::vector<int>& group) {
+  IODB_CHECK(!group.empty());
+  for (int g : group) {
+    IODB_CHECK(alive_[g]);
+    IODB_CHECK_EQ(strict_in_[g], 0);
+  }
+  stack_.Push().assign(group.begin(), group.end());
+  Remove(stack_.groups.back());
+}
 
 EnumerationContext::EnumerationContext(const NormDb& db)
     : num_points(db.num_points()) {
@@ -357,6 +166,9 @@ EnumerationContext::EnumerationContext(const NormDb& db)
   // maintenance actually pay.
   if (num_points <= 64) {
     DeriveMasks(ComputeReachability(db.dag));
+    for (const auto& [u, v] : db.inequalities) {
+      unequal_pairs.push_back((uint64_t{1} << u) | (uint64_t{1} << v));
+    }
     return;
   }
   index = std::make_shared<ReachabilityIndex>(db.dag);

@@ -1,6 +1,5 @@
 #include "server/protocol.h"
 
-#include <charconv>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -11,12 +10,9 @@
 namespace iodb::server {
 
 std::optional<int> ParseBatchCount(std::string_view args) {
-  int n = 0;
-  const char* end = args.data() + args.size();
-  auto [ptr, ec] = std::from_chars(args.data(), end, n);
-  if (ec != std::errc() || ptr != end) return std::nullopt;
-  if (n < 1 || n > kMaxBatchRequests) return std::nullopt;
-  return n;
+  std::optional<long long> n = ParseInteger(args, 1, kMaxBatchRequests);
+  if (!n.has_value()) return std::nullopt;
+  return static_cast<int>(*n);
 }
 
 ServingState::ServingState(ServiceOptions options,

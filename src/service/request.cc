@@ -1,6 +1,5 @@
 #include "service/request.h"
 
-#include <charconv>
 #include <optional>
 #include <vector>
 
@@ -10,18 +9,6 @@
 namespace iodb {
 
 namespace {
-
-// Parses a non-negative decimal integer; rejects empty, signs, trailing
-// junk.
-bool ParseNonNegative(std::string_view text, long long* out) {
-  long long value = 0;
-  auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  if (ec != std::errc() || ptr != text.data() + text.size()) return false;
-  if (value < 0) return false;
-  *out = value;
-  return true;
-}
 
 // Splits off the next whitespace-delimited token of `rest`; returns empty
 // when exhausted. `rest` is advanced past the token and any following
@@ -61,13 +48,13 @@ Status ParseEvalFlag(std::string_view flag, EvalRequest* request) {
     if (!engine.has_value()) return bad("unknown engine in");
     request->options.engine = *engine;
   } else if (auto value = value_of("--deadline-ms=")) {
-    if (!ParseNonNegative(*value, &request->deadline_ms)) {
-      return bad("bad deadline in");
-    }
+    std::optional<long long> ms = ParseInteger(*value, 0);
+    if (!ms.has_value()) return bad("bad deadline in");
+    request->deadline_ms = *ms;
   } else if (auto value = value_of("--step-budget=")) {
-    if (!ParseNonNegative(*value, &request->step_budget)) {
-      return bad("bad step budget in");
-    }
+    std::optional<long long> steps = ParseInteger(*value, 0);
+    if (!steps.has_value()) return bad("bad step budget in");
+    request->step_budget = *steps;
   } else if (auto value = value_of("--costing=")) {
     if (*value != "on" && *value != "off") {
       return Status::InvalidArgument("bad costing value in '" +

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <filesystem>
 
+#include "core/parser.h"
 #include "storage/snapshot.h"
 #include "storage/wal.h"
 #include "util/failpoint.h"
@@ -189,22 +190,54 @@ Result<DbInfo> DurableRegistry::PersistDatabase(const std::string& name) {
   }
   Status status = SaveSnapshot(*db, SnapshotPath(name));
   if (!status.ok()) return status;
-  status = CreateWal(WalPath(name), db->uid(), db->revision());
+  DbInfo info{name, db->SizeAtoms(), db->uid(), db->revision()};
+  status = BindWal(info);
+  if (!status.ok()) return status;
+  return info;
+}
+
+Status DurableRegistry::BindWal(const DbInfo& info) {
+  Status status = CreateWal(WalPath(info.name), info.uid, info.revision);
   if (!status.ok()) return status;
   status = PersistVocabulary();
   if (!status.ok()) return status;
-  base_[name] = {db->uid(), db->revision()};
+  base_[info.name] = {info.uid, info.revision};
   // The fresh WAL was written atomically and fsynced; nothing un-synced
   // remains for this database.
-  dirty_.erase(name);
-  return DbInfo{name, db->SizeAtoms(), db->uid(), db->revision()};
+  dirty_.erase(info.name);
+  return Status::Ok();
 }
 
 Result<DbInfo> DurableRegistry::Load(const std::string& name,
                                      const std::string& text) {
-  Result<DbInfo> info = service_.Load(name, text);
+  if (name.empty()) {
+    return Status::InvalidArgument("database name must be nonempty");
+  }
+  Result<Database> db = ParseDatabase(text, service_.vocab());
+  if (!db.ok()) return db.status();
+  // The snapshot's rename is the commit point, so it comes before the
+  // publish: a LOAD that fails earlier leaves the previous version both
+  // served and restored by the next open.
+  Status status = SaveSnapshot(db.value(), SnapshotPath(name));
+  if (!status.ok()) {
+    // The write may have failed after its rename, leaving the unserved
+    // version on disk: put back what is served, best effort. Until that
+    // succeeds the WAL binding is unknown, so the next APPEND
+    // re-persists before it logs.
+    base_.erase(name);
+    if (service_.Snapshot(name) != nullptr) {
+      (void)PersistDatabase(name);
+    } else {
+      std::error_code ec;
+      fs::remove(SnapshotPath(name), ec);
+    }
+    return status;
+  }
+  Result<DbInfo> info = service_.Register(name, std::move(db.value()));
   if (!info.ok()) return info;
-  return PersistDatabase(name);
+  status = BindWal(info.value());
+  if (!status.ok()) return status;
+  return info;
 }
 
 Result<DbInfo> DurableRegistry::AppendText(const std::string& name,
@@ -212,6 +245,16 @@ Result<DbInfo> DurableRegistry::AppendText(const std::string& name,
   Result<std::vector<WalRecord>> records =
       ParseMutationText(text, service_.vocab());
   if (!records.ok()) return records.status();
+  // A failed LOAD can leave the served version without a log bound to
+  // it (the WAL on disk belongs to another version, and the next open
+  // discards it): re-persist the served version before logging.
+  EvaluationService::DatabasePtr served = service_.Snapshot(name);
+  auto base = base_.find(name);
+  if (served != nullptr &&
+      (base == base_.end() || base->second.first != served->uid())) {
+    Result<DbInfo> bound = PersistDatabase(name);
+    if (!bound.ok()) return bound.status();
+  }
   // Parsing may have registered new predicates; persist the vocabulary
   // before anything that could reference them is durable.
   Status status = PersistVocabulary();

@@ -72,7 +72,10 @@ class DurableRegistry {
 
   /// Parses and registers a database under `name` (replacing any
   /// previous registration) and persists it: fresh snapshot, fresh
-  /// (empty) WAL, updated vocabulary sidecar.
+  /// (empty) WAL, updated vocabulary sidecar. The snapshot is written
+  /// before the new version is published, so a LOAD that fails before
+  /// the snapshot is renamed into place changes neither what is served
+  /// nor what a restart restores.
   Result<DbInfo> Load(const std::string& name, const std::string& text);
 
   /// Appends database-format statements to the registered database
@@ -118,6 +121,9 @@ class DurableRegistry {
   Status PersistVocabulary();
   /// Snapshot + fresh WAL + vocabulary for the registered database.
   Result<DbInfo> PersistDatabase(const std::string& name);
+  /// Fresh WAL bound to `info`'s identity (its snapshot already on disk)
+  /// + vocabulary; records the binding in base_.
+  Status BindWal(const DbInfo& info);
 
   std::string dir_;
   EvaluationService service_;

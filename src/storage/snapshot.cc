@@ -616,76 +616,30 @@ Result<Database> DecodeSnapshotInto(std::string_view bytes,
 }
 
 Result<SnapshotInfo> InspectSnapshot(std::string_view bytes) {
+  // Counts come from the decoded database, so inspect accepts exactly
+  // the files OpenSnapshot accepts, through the same validation.
+  Result<Database> db = DecodeSnapshot(bytes);
+  if (!db.ok()) return db.status();
   SectionMap map;
   Status status = ReadSectionMap(bytes, kMagic, &map);
-  if (!status.ok()) return status;
-  DecodedVocabulary file_vocab;
-  status = DecodeVocabularySection(map.payload[kSectionVocabulary],
-                                   &file_vocab);
-  if (!status.ok()) return status;
-  DecodedConstants constants;
-  status = DecodeConstantsSection(map.payload[kSectionConstants], &constants);
   if (!status.ok()) return status;
 
   SnapshotInfo info;
   info.format_version = map.version;
   info.file_bytes = bytes.size();
-  info.vocab_uid = file_vocab.uid;
-  info.num_predicates = static_cast<uint32_t>(file_vocab.predicates.size());
+  info.vocab_uid = db.value().vocab()->uid();
+  info.db_uid = db.value().uid();
+  info.revision = db.value().revision();
+  info.num_predicates =
+      static_cast<uint32_t>(db.value().vocab()->num_predicates());
   info.num_object_constants =
-      static_cast<uint32_t>(constants.object_names.size());
+      static_cast<uint32_t>(db.value().num_object_constants());
   info.num_order_constants =
-      static_cast<uint32_t>(constants.order_names.size());
+      static_cast<uint32_t>(db.value().num_order_constants());
+  info.num_proper_atoms = db.value().proper_atoms().size();
+  info.num_order_atoms = db.value().order_atoms().size();
+  info.num_inequalities = db.value().inequalities().size();
   info.sections = map.infos;
-
-  // Summary counts straight from the section payloads (validated the
-  // same way DecodeBody validates counts against their section bounds).
-  {
-    ByteReader reader(map.payload[kSectionFactSegments]);
-    uint32_t num_preds = 0;
-    Status read = reader.ReadU32(&num_preds);
-    if (!read.ok() || num_preds != file_vocab.predicates.size()) {
-      return Corrupt("fact segment count disagrees with vocabulary");
-    }
-    for (uint32_t p = 0; p < num_preds; ++p) {
-      uint32_t arity = 0;
-      uint64_t count = 0;
-      if (!(read = reader.ReadU32(&arity)).ok() ||
-          !(read = reader.ReadU64(&count)).ok()) {
-        return Corrupt(read.message());
-      }
-      if (arity == 0 ? count > (uint64_t{1} << 20)
-                     : count > reader.remaining() /
-                                   (static_cast<uint64_t>(arity) * 4)) {
-        return Corrupt("fact segment extends past its section");
-      }
-      std::string_view skipped;
-      if (!(read = reader.ReadBytes(
-                static_cast<size_t>(count * arity * 4), &skipped))
-               .ok()) {
-        return Corrupt(read.message());
-      }
-      info.num_proper_atoms += count;
-    }
-  }
-  {
-    ByteReader reader(map.payload[kSectionOrderAtoms]);
-    Status read = reader.ReadU64(&info.num_order_atoms);
-    if (!read.ok()) return Corrupt(read.message());
-  }
-  {
-    ByteReader reader(map.payload[kSectionInequalities]);
-    Status read = reader.ReadU64(&info.num_inequalities);
-    if (!read.ok()) return Corrupt(read.message());
-  }
-  {
-    ByteReader reader(map.payload[kSectionIdentity]);
-    Status read;
-    if (!(read = reader.ReadU64(&info.db_uid)).ok() ||
-        !(read = reader.ReadU64(&info.revision)).ok()) {
-      return Corrupt(read.message());
-    }
-  }
   if (map.present[kSectionStatistics]) {
     Result<stats::DatabaseStats> decoded =
         stats::DecodeStats(map.payload[kSectionStatistics]);

@@ -1,6 +1,7 @@
 #include "util/strings.h"
 
 #include <cctype>
+#include <charconv>
 
 namespace iodb {
 
@@ -49,6 +50,17 @@ bool IsIdentifier(std::string_view text) {
     if (!std::isalnum(c) && c != '_' && c != '\'') return false;
   }
   return true;
+}
+
+std::optional<long long> ParseInteger(std::string_view text, long long lo,
+                                      long long hi) {
+  long long value = 0;
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || value < lo || value > hi) {
+    return std::nullopt;
+  }
+  return value;
 }
 
 }  // namespace iodb

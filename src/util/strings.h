@@ -4,6 +4,8 @@
 #ifndef IODB_UTIL_STRINGS_H_
 #define IODB_UTIL_STRINGS_H_
 
+#include <climits>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -22,6 +24,14 @@ std::string_view StripWhitespace(std::string_view text);
 
 /// True if `text` is a valid identifier: [A-Za-z_][A-Za-z0-9_']*.
 bool IsIdentifier(std::string_view text);
+
+/// Parses the whole of `text` as one decimal integer (an optional '-'
+/// then digits: no '+', whitespace or trailing junk) in [lo, hi];
+/// nullopt otherwise. The one integer parser for wire and command-line
+/// values.
+std::optional<long long> ParseInteger(std::string_view text,
+                                      long long lo = LLONG_MIN,
+                                      long long hi = LLONG_MAX);
 
 }  // namespace iodb
 

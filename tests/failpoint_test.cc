@@ -13,6 +13,7 @@
 #include <memory>
 #include <string>
 
+#include "core/printer.h"
 #include "storage/durable_registry.h"
 
 namespace iodb {
@@ -175,6 +176,61 @@ TEST_F(FailpointTest, SnapshotErrorLeavesPreviousSnapshotIntact) {
   const Database* db = reopened.value()->service().database("t");
   ASSERT_NE(db, nullptr);
   EXPECT_EQ(db->num_order_constants(), 3);
+}
+
+TEST_F(FailpointTest, FailedReloadKeepsServedAndRestoredVersionsEqual) {
+  // After any failed reload, the version served and the version the
+  // next open restores must be the same, and an APPEND acknowledged
+  // afterwards has to survive the restart on that version. Skip 0 fails
+  // the new snapshot (before its rename, or just after it); skip 1
+  // passes the snapshot and fails the new version's WAL instead.
+  struct Case {
+    const char* failpoint;
+    long long skip;
+    bool serves_new;
+  };
+  for (const Case& c : {Case{"snapshot-write-before-tmp", 0, false},
+                        Case{"snapshot-write-torn", 0, false},
+                        Case{"snapshot-before-rename", 0, false},
+                        Case{"snapshot-after-rename", 0, false},
+                        Case{"snapshot-write-before-tmp", 1, true}}) {
+    SCOPED_TRACE(std::string(c.failpoint) + ":" + std::to_string(c.skip));
+    TempStore store("failpoint_reload_" + std::string(c.failpoint) +
+                    std::to_string(c.skip));
+    std::string served;
+    {
+      Result<std::unique_ptr<storage::DurableRegistry>> registry =
+          storage::DurableRegistry::Open(store.dir, {});
+      ASSERT_TRUE(registry.ok()) << registry.status().ToString();
+      storage::DurableRegistry& r = *registry.value();
+      ASSERT_TRUE(r.Load("t", "P(a)\na < b\n").ok());
+      ASSERT_TRUE(r.AppendText("t", "P(c)\nb < c\n").ok());
+      {
+        failpoint::Scoped scoped(c.failpoint, failpoint::Action::kError,
+                                 c.skip);
+        Result<DbInfo> reload = r.Load("t", "Q(x)\nx < y\ny < z\n");
+        ASSERT_FALSE(reload.ok());
+        EXPECT_NE(reload.status().message().find(c.failpoint),
+                  std::string::npos)
+            << reload.status().ToString();
+      }
+      // a b c, or the reload's x y z.
+      EXPECT_EQ(r.service().database("t")->num_order_constants(), 3);
+      EXPECT_EQ(
+          r.service().database("t")->FindConstant("x", Sort::kOrder)
+              .has_value(),
+          c.serves_new);
+      ASSERT_TRUE(r.AppendText("t", "R(w)\n").ok());
+      served = ToString(*r.service().database("t"));
+    }
+    Result<std::unique_ptr<storage::DurableRegistry>> reopened =
+        storage::DurableRegistry::Open(store.dir, {});
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    const Database* db = reopened.value()->service().database("t");
+    ASSERT_NE(db, nullptr);
+    EXPECT_NE(ToString(*db).find("R(w)"), std::string::npos);
+    EXPECT_EQ(ToString(*db), served);
+  }
 }
 
 TEST_F(FailpointTest, RegistryOpenFailpointInjects) {

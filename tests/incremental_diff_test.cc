@@ -257,6 +257,79 @@ TEST(IncrementalEnumeratorTest, PrefixSeededSubtreesPartitionTheForest) {
   }
 }
 
+// The sorting step's two forms (core/minimal_models.h) must offer the
+// same groups in the same order at every region: the mask form on the
+// production context against the general form on the oracle's closure.
+// Walks the regions depth-first from the full database, descending into
+// every group, until `regions` runs out.
+void ExpectSameGroupChoice(const EnumerationContext& masks,
+                           GroupChooser& chooser, uint64_t alive,
+                           int& regions, const std::string& where) {
+  if (alive == 0 || regions-- <= 0) return;
+  ReachProbeStats stats;
+  std::vector<uint64_t> mask_groups;
+  ForEachGroupMask(masks, alive, stats, [&](uint64_t group) {
+    mask_groups.push_back(group);
+    return true;
+  });
+  auto word = [](const std::vector<int>& group) {
+    uint64_t bits = 0;
+    for (int v : group) bits |= uint64_t{1} << v;
+    return bits;
+  };
+  std::vector<uint64_t> general_groups;
+  chooser.ForEachGroup([&](const std::vector<int>& group) {
+    general_groups.push_back(word(group));
+    return true;
+  });
+  ASSERT_EQ(mask_groups, general_groups) << where;
+  chooser.ForEachGroup([&](const std::vector<int>& group) {
+    const uint64_t bits = word(group);
+    chooser.Remove(group);
+    ExpectSameGroupChoice(masks, chooser, alive & ~bits, regions, where);
+    chooser.Restore(group);
+    return regions > 0;
+  });
+}
+
+TEST(IncrementalEnumeratorTest, GroupChoiceFormsAgreeAtEveryRegion) {
+  int with_inequalities = 0;
+  for (uint64_t seed = 0; seed < 60; ++seed) {
+    auto vocab = std::make_shared<Vocabulary>();
+    Rng rng(seed + 9100);
+    MonadicDbParams params;
+    params.num_chains = rng.UniformInt(1, 4);
+    params.chain_length = rng.UniformInt(2, 64 / params.num_chains);
+    params.num_predicates = 2;
+    params.le_probability = rng.UniformInt(0, 60) / 100.0;
+    Database db = RandomMonadicDb(params, vocab, rng);
+    const int points = db.num_order_constants();
+    if (seed % 2 == 1) {
+      for (int k = rng.UniformInt(1, 4); k > 0; --k) {
+        int u = rng.UniformInt(0, points - 1);
+        int v = rng.UniformInt(0, points - 1);
+        if (u != v) db.AddInequality(u, v);
+      }
+    }
+    NormDb norm = MustNormalize(db);
+    if (!norm.inequalities.empty()) ++with_inequalities;
+    std::shared_ptr<const EnumerationContext> masks =
+        SharedEnumerationContext(norm);
+    ASSERT_TRUE(masks->has_masks) << "seed " << seed;
+    const EnumerationContext closure = oracle::ClosureContext(norm);
+    ReachProbeStats stats;
+    GroupChooser chooser(norm, closure, stats);
+    const uint64_t all = norm.num_points() == 64
+                             ? ~uint64_t{0}
+                             : (uint64_t{1} << norm.num_points()) - 1;
+    int regions = 400;
+    ExpectSameGroupChoice(*masks, chooser, all, regions,
+                          "seed " + std::to_string(seed));
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(with_inequalities, 10);
+}
+
 TEST(ModelBuilderTest, SnapshotMatchesBuildPrefixModelAtEveryNode) {
   for (uint64_t seed = 0; seed < 20; ++seed) {
     auto vocab = std::make_shared<Vocabulary>();

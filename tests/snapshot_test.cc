@@ -231,6 +231,55 @@ TEST(Snapshot, InspectReportsCountsAndSections) {
   EXPECT_NE(rendered.find("order-graph"), std::string::npos);
 }
 
+// Rewrites the payload of section `id` with `edit` and re-stamps its
+// checksum and the section-table checksum, so only the decoder's own
+// validation of the payload can catch the change.
+std::string WithSectionEdited(std::string bytes, uint32_t id,
+                              void (*edit)(char* payload)) {
+  auto read_u64 = [&](size_t at) {
+    uint64_t value = 0;
+    for (int i = 7; i >= 0; --i) {
+      value = (value << 8) | static_cast<uint8_t>(bytes[at + i]);
+    }
+    return value;
+  };
+  auto write_u64 = [&](size_t at, uint64_t value) {
+    for (int i = 0; i < 8; ++i) {
+      bytes[at + i] = static_cast<char>(value >> (8 * i));
+    }
+  };
+  const size_t kHeader = 28, kEntry = 32;
+  const uint32_t count = static_cast<uint8_t>(bytes[16]);
+  for (size_t e = 0; e < count; ++e) {
+    const size_t entry = kHeader + e * kEntry;
+    if (static_cast<uint8_t>(bytes[entry]) != id) continue;
+    const size_t offset = read_u64(entry + 8);
+    const size_t length = read_u64(entry + 16);
+    edit(&bytes[offset]);
+    write_u64(entry + 24, storage::Fnv1a64(
+                              std::string_view(bytes).substr(offset, length)));
+  }
+  write_u64(20, storage::Fnv1a64(
+                    std::string_view(bytes).substr(kHeader, count * kEntry)));
+  return bytes;
+}
+
+TEST(Snapshot, InspectAcceptsExactlyWhatDecodeAccepts) {
+  auto vocab = std::make_shared<Vocabulary>();
+  Database db = MixedDatabase(vocab);
+  const std::string bytes = storage::EncodeSnapshot(db);
+  // Correctly checksummed, but the inequalities section claims one atom
+  // more than it holds: decoding rejects it, so inspecting must too.
+  const std::string overcount = WithSectionEdited(
+      bytes, /*inequalities=*/5, [](char* payload) { ++payload[0]; });
+  EXPECT_FALSE(storage::DecodeSnapshot(overcount).ok());
+  EXPECT_FALSE(storage::InspectSnapshot(overcount).ok());
+  // The same re-stamping with no edit keeps the file valid for both.
+  const std::string restamped = WithSectionEdited(bytes, 5, [](char*) {});
+  EXPECT_TRUE(storage::DecodeSnapshot(restamped).ok());
+  EXPECT_TRUE(storage::InspectSnapshot(restamped).ok());
+}
+
 TEST(Snapshot, EverySingleByteCorruptionIsDetected) {
   // Every byte of the file is covered by a checksum or a validated
   // header field, so ANY single-byte corruption must surface as an

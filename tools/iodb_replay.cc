@@ -47,6 +47,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -67,6 +68,15 @@ using namespace iodb;
 int Fail(const std::string& message) {
   std::fprintf(stderr, "iodb_replay: %s\n", message.c_str());
   return 2;
+}
+
+// Parses the integer flag `arg` ("--name=N") into `out`: one whole
+// decimal integer that fits an int.
+bool IntFlag(const std::string& arg, int* out) {
+  std::optional<long long> value = ParseInteger(
+      std::string_view(arg).substr(arg.find('=') + 1), INT_MIN, INT_MAX);
+  if (value.has_value()) *out = static_cast<int>(*value);
+  return value.has_value();
 }
 
 // One parsed script: the loads to apply up front and the requests to
@@ -187,11 +197,15 @@ int main(int argc, char** argv) {
   for (int i = 2; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--repeat=", 0) == 0) {
-      repeat = std::atoi(arg.c_str() + 9);
+      if (!IntFlag(arg, &repeat)) return Fail("bad integer in '" + arg + "'");
     } else if (arg.rfind("--workers=", 0) == 0) {
-      options.num_workers = std::atoi(arg.c_str() + 10);
+      if (!IntFlag(arg, &options.num_workers)) {
+        return Fail("bad integer in '" + arg + "'");
+      }
     } else if (arg.rfind("--plan-cache=", 0) == 0) {
-      plan_cache = std::atoi(arg.c_str() + 13);
+      if (!IntFlag(arg, &plan_cache)) {
+        return Fail("bad integer in '" + arg + "'");
+      }
     } else if (arg == "--trace-plans") {
       trace_plans = true;
     } else if (arg.rfind("--db-snapshot=", 0) == 0) {

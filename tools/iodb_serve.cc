@@ -81,6 +81,7 @@
 // drain: in-flight evaluations are cancelled, every session is joined,
 // and acknowledged appends are durable before exit.
 
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -93,6 +94,7 @@
 #include "server/protocol.h"
 #include "server/server.h"
 #include "storage/wal.h"
+#include "util/strings.h"
 
 namespace {
 
@@ -138,6 +140,20 @@ void WaitForShutdownSignal() {
   }
 }
 
+// The value of the integer flag `arg` ("--name=N"): one whole decimal
+// integer in [lo, hi], or nullopt after printing why not.
+std::optional<long long> IntFlag(const std::string& arg, long long lo,
+                                 long long hi) {
+  const size_t eq = arg.find('=');
+  std::optional<long long> value =
+      ParseInteger(std::string_view(arg).substr(eq + 1), lo, hi);
+  if (!value.has_value()) {
+    std::fprintf(stderr, "iodb_serve: %s needs an integer in [%lld, %lld]\n",
+                 arg.substr(0, eq).c_str(), lo, hi);
+  }
+  return value;
+}
+
 int FlushAndExit(server::ServingState& state) {
   Status status = state.FlushRegistry();
   if (!status.ok()) {
@@ -160,15 +176,13 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--workers=", 0) == 0) {
-      options.num_workers = std::atoi(arg.c_str() + 10);
+      std::optional<long long> workers = IntFlag(arg, INT_MIN, INT_MAX);
+      if (!workers.has_value()) return 2;
+      options.num_workers = static_cast<int>(*workers);
     } else if (arg.rfind("--plan-cache=", 0) == 0) {
-      int capacity = std::atoi(arg.c_str() + 13);
-      if (capacity <= 0) {
-        std::fprintf(stderr, "iodb_serve: --plan-cache needs a positive "
-                             "capacity\n");
-        return 2;
-      }
-      options.plan_cache_capacity = static_cast<size_t>(capacity);
+      std::optional<long long> capacity = IntFlag(arg, 1, INT_MAX);
+      if (!capacity.has_value()) return 2;
+      options.plan_cache_capacity = static_cast<size_t>(*capacity);
     } else if (arg.rfind("--data-dir=", 0) == 0) {
       data_dir = arg.substr(11);
       if (data_dir.empty()) {
@@ -196,9 +210,14 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg.rfind("--default-deadline-ms=", 0) == 0) {
-      options.default_deadline_ms = std::atoll(arg.c_str() + 22);
+      // Negative means unlimited.
+      std::optional<long long> ms = IntFlag(arg, LLONG_MIN, LLONG_MAX);
+      if (!ms.has_value()) return 2;
+      options.default_deadline_ms = *ms;
     } else if (arg.rfind("--default-step-budget=", 0) == 0) {
-      options.default_step_budget = std::atoll(arg.c_str() + 22);
+      std::optional<long long> steps = IntFlag(arg, LLONG_MIN, LLONG_MAX);
+      if (!steps.has_value()) return 2;
+      options.default_step_budget = *steps;
     } else if (arg.rfind("--listen=", 0) == 0) {
       server_options.unix_path = arg.substr(9);
       if (server_options.unix_path.empty()) {
@@ -207,15 +226,15 @@ int main(int argc, char** argv) {
       }
       socket_mode = true;
     } else if (arg.rfind("--tcp-port=", 0) == 0) {
-      server_options.tcp_port = std::atoi(arg.c_str() + 11);
+      // Negative means no TCP listener; above 65535 is no port at all.
+      std::optional<long long> port = IntFlag(arg, INT_MIN, 65535);
+      if (!port.has_value()) return 2;
+      server_options.tcp_port = static_cast<int>(*port);
       socket_mode = true;
     } else if (arg.rfind("--max-sessions=", 0) == 0) {
-      server_options.max_sessions = std::atoi(arg.c_str() + 15);
-      if (server_options.max_sessions <= 0) {
-        std::fprintf(stderr, "iodb_serve: --max-sessions needs a positive "
-                             "count\n");
-        return 2;
-      }
+      std::optional<long long> sessions = IntFlag(arg, 1, INT_MAX);
+      if (!sessions.has_value()) return 2;
+      server_options.max_sessions = static_cast<int>(*sessions);
     } else {
       std::fprintf(stderr,
                    "usage: iodb_serve [--workers=N] [--plan-cache=N] "

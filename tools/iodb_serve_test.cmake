@@ -134,6 +134,27 @@ if(NOT rc EQUAL 2 OR NOT "${err}" MATCHES "usage:")
   message(FATAL_ERROR "iodb_serve --bogus: exit ${rc}, want 2 + usage\n${err}")
 endif()
 
+# Integer flags take one whole decimal integer: junk, a sign-less suffix
+# and an out-of-range value all exit 2 instead of becoming some number.
+foreach(flag --workers=abc --plan-cache=2x --plan-cache=0 --tcp-port=
+        --tcp-port=70000 --max-sessions=-1 --default-deadline-ms=1.5
+        --default-step-budget=99999999999999999999 "--workers= 3")
+  execute_process(COMMAND ${IODB_SERVE} ${flag}
+    INPUT_FILE /dev/null
+    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 2 OR NOT "${err}" MATCHES "needs an integer in")
+    message(FATAL_ERROR "iodb_serve ${flag}: exit ${rc}, want 2\n${err}")
+  endif()
+endforeach()
+# A negative default deadline still parses and means unlimited.
+execute_process(COMMAND ${IODB_SERVE} --default-deadline-ms=-1
+  INPUT_FILE "${session}"
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 0 OR NOT "${out}" MATCHES "ENTAILED")
+  message(FATAL_ERROR "iodb_serve --default-deadline-ms=-1: exit ${rc}\n"
+    "${out}${err}")
+endif()
+
 # --- durable registry: kill-and-restart golden test -------------------------
 # Session 1 loads and mutates a database in a durable registry; session 2
 # is a fresh process on the same directory. The restart must restore the
@@ -524,6 +545,15 @@ if(NOT "${out}" MATCHES "verdicts: 2 entailed, 1 not entailed, 0 error\\(s\\)"
   message(FATAL_ERROR "iodb_replay BATCH verdict mismatch (iodb_serve: "
     "${served_entailed} entailed, ${served_not_entailed} not)\n${out}")
 endif()
+
+# Integer flags take one whole decimal integer.
+foreach(flag --repeat=2x --workers=abc --plan-cache= --repeat=99999999999)
+  execute_process(COMMAND ${IODB_REPLAY} "${script}" ${flag}
+    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 2 OR NOT "${err}" MATCHES "bad integer in '${flag}'")
+    message(FATAL_ERROR "iodb_replay ${flag}: exit ${rc}, want 2\n${err}")
+  endif()
+endforeach()
 
 # A malformed script is a usage error naming its line, not a crash.
 function(expect_bad_script name content want)
