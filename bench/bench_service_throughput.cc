@@ -7,8 +7,8 @@
 // hand-manages), the cached side compiles once and then only parses and
 // evaluates. The acceptance bar for the serving layer is cached >= 2x
 // cold on the compile-heavy shapes. The batch benchmarks measure the
-// EvalBatch path (group by plan, fan databases across the worker pool)
-// against a loop of single Evals.
+// EvalBatch path (every distinct (plan, database) member fans out across
+// the worker pool in one go) by worker count.
 
 #include <benchmark/benchmark.h>
 
@@ -156,6 +156,34 @@ BENCHMARK(BM_ServiceFleetBatch)
     ->Args({16, 2})
     ->Args({16, 4})
     ->UseRealTime();
+
+// --- Mixed batch: distinct plans, one member each ---------------------------
+// The wire shape of a BATCH: 8 members with 8 distinct plans over 8
+// databases, so no two members share a plan group and only the batch-wide
+// fan-out can run them side by side. Args: workers.
+
+void BM_ServiceMixedBatch(benchmark::State& state) {
+  constexpr int kMembers = 8;
+  ServiceOptions options;
+  options.num_workers = static_cast<int>(state.range(0));
+  FleetFixture fixture(kMembers, options);
+  Rng rng(2027);
+  for (EvalRequest& request : fixture.requests) {
+    request.query = ToString(RandomDisjunctiveSequentialQuery(
+        /*num_disjuncts=*/3, /*length=*/4, /*num_predicates=*/3,
+        /*label_probability=*/0.4, /*le_probability=*/0.2,
+        fixture.service.vocab(), rng));
+  }
+  for (auto _ : state) {
+    std::vector<Result<EvalResponse>> responses =
+        fixture.service.EvalBatch(fixture.requests);
+    for (const Result<EvalResponse>& response : responses) {
+      IODB_CHECK(response.ok());
+      benchmark::DoNotOptimize(response.value().entailed);
+    }
+  }
+}
+BENCHMARK(BM_ServiceMixedBatch)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
 }  // namespace
 }  // namespace iodb

@@ -141,11 +141,25 @@ EngineOutcome EntailParallel(const NormDb& db, const NormQuery& query,
                 }
               });
 
+  // On a not-entailed decision only subtrees 0..winner are merged. None
+  // of them was aborted (a subtree aborts only for a lower countermodel)
+  // and the winner's stopped at its first countermodel, so the work
+  // counters equal the serial search's, which stops there too; the
+  // subtrees above the winner did timing-dependent work and are dropped.
   EngineOutcome merged;
   merged.check_stats.Accumulate(root_stats);
   const int winner = found_min.load(std::memory_order_relaxed);
-  for (size_t k = 0; k < outcomes.size(); ++k) {
+  const size_t merge_end = winner == std::numeric_limits<int>::max()
+                               ? outcomes.size()
+                               : static_cast<size_t>(winner) + 1;
+  for (size_t k = 0; k < merge_end; ++k) {
     MergeCounters(merged, outcomes[k]);
+    // The serial search pops the groups subtree k left on the stack when
+    // it pushes root k + 1.
+    if (k + 1 < merge_end) {
+      merged.groups_popped +=
+          outcomes[k].groups_pushed - outcomes[k].groups_popped;
+    }
   }
   if (winner != std::numeric_limits<int>::max()) {
     merged.entailed = false;

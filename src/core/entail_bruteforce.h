@@ -27,11 +27,15 @@
 // enumeration (ForEachMinimalModelFrom) handed to a worker. Verdict and
 // countermodel are deterministic (the winning countermodel is the first
 // one of the lowest-indexed subtree containing any, i.e. the one the
-// serial search reports). Work counters are exact only when the query is
-// entailed (every subtree runs to completion); with a countermodel they
-// may differ from the serial run in either direction — aborted siblings
-// undercount their subtrees, while subtrees past the winner count
-// partial work a serial search never starts.
+// serial search reports). So are the enumeration and matcher counters:
+// an entailed run merges every subtree, a not-entailed one only the
+// subtrees up to the winner (none of them aborted, and the winner's
+// stopped where the serial search stops), dropping the partial work of
+// subtrees past the winner. The reachability-probe counters of a
+// not-entailed run also count the depth-0 probes of every root, which
+// the serial search stops short of. A run that exhausts a shared budget
+// stays timing-dependent: where each worker stops depends on when the
+// others charged.
 
 #ifndef IODB_CORE_ENTAIL_BRUTEFORCE_H_
 #define IODB_CORE_ENTAIL_BRUTEFORCE_H_

@@ -1,6 +1,7 @@
 #include "service/service.h"
 
 #include <chrono>
+#include <map>
 #include <unordered_map>
 #include <utility>
 
@@ -221,8 +222,8 @@ std::vector<Result<EvalResponse>> EvaluationService::EvalBatch(
   ++batches_;
   requests_ += static_cast<long long>(requests.size());
   // Deadlines of batch members count from the batch start, not from the
-  // moment their plan group reaches the front of the queue — a batch
-  // deadline is an end-to-end promise.
+  // moment a worker picks them up — a batch deadline is an end-to-end
+  // promise.
   const std::chrono::steady_clock::time_point batch_start =
       std::chrono::steady_clock::now();
 
@@ -263,59 +264,79 @@ std::vector<Result<EvalResponse>> EvaluationService::EvalBatch(
     slot.plan = std::move(plan.value());
   }
 
-  // Phase 2: group the healthy slots by plan (one group = one
-  // EvaluateBatch call over its databases) in first-appearance
-  // order, so scheduling is deterministic.
+  // Phase 2: index the healthy slots twice. By plan: each plan group
+  // shares one ExecBudget, the tightest member limits governing the
+  // whole group, and a trip fails the group's unfinished members (see the
+  // EvalBatch doc comment for the scope contract). By (plan, pinned
+  // database): a repeated pair is evaluated once, by its first slot (its
+  // owner), and the verdict copied.
+  struct GroupLimits {
+    long long deadline_ms = -1;
+    long long steps = -1;
+  };
+  auto tighten = [](long long& limit, long long value) {
+    if (value >= 0 && (limit < 0 || value < limit)) limit = value;
+  };
   std::unordered_map<const PreparedQuery*, size_t> group_of;
-  std::vector<std::vector<size_t>> groups;
+  std::vector<GroupLimits> limits;
+  std::vector<size_t> group(slots.size());
+  std::map<std::pair<const PreparedQuery*, const Database*>, size_t> owner_of;
+  std::vector<size_t> owner(slots.size());
+  std::vector<size_t> unique;
+  for (size_t i = 0; i < slots.size(); ++i) {
+    const PreparedQuery* plan = slots[i].plan.get();
+    if (plan == nullptr) continue;
+    auto [g, new_group] = group_of.try_emplace(plan, limits.size());
+    if (new_group) limits.emplace_back();
+    group[i] = g->second;
+    tighten(limits[group[i]].deadline_ms, EffectiveDeadlineMs(requests[i]));
+    tighten(limits[group[i]].steps, EffectiveStepBudget(requests[i]));
+    auto [o, new_pair] = owner_of.try_emplace({plan, slots[i].db.get()}, i);
+    owner[i] = o->second;
+    if (new_pair) unique.push_back(i);
+  }
+  std::vector<ExecBudget> budgets(limits.size());
+  for (size_t g = 0; g < limits.size(); ++g) {
+    if (limits[g].deadline_ms >= 0) {
+      budgets[g].SetDeadline(batch_start +
+                             std::chrono::milliseconds(limits[g].deadline_ms));
+    }
+    if (limits[g].steps >= 0) budgets[g].SetStepLimit(limits[g].steps);
+    if (cancel != nullptr) budgets[g].SetCancelToken(cancel);
+  }
+  auto budget_of = [&](size_t i) {
+    ExecBudget& budget = budgets[group[i]];
+    return budget.limited() ? &budget : nullptr;
+  };
+
+  // Phase 3: one fan-out over the distinct pairs of the whole batch, so
+  // plan groups do not wait for each other. Different plans may evaluate
+  // one pinned database at once, which is safe because Publish()
+  // pre-materialized everything evaluation fills lazily. A batch with one
+  // distinct pair shards that one query's enumeration subtrees across the
+  // pool instead.
+  std::vector<Result<EntailResult>> verdicts(
+      slots.size(), Result<EntailResult>(EntailResult{}));
+  if (unique.size() == 1) {
+    const size_t i = unique[0];
+    const Database* db[] = {slots[i].db.get()};
+    verdicts[i] = std::move(
+        slots[i].plan->EvaluateBatch(db, num_workers_, budget_of(i))[0]);
+  } else {
+    ParallelFor(static_cast<int>(unique.size()), num_workers_, [&](int k) {
+      const size_t i = unique[k];
+      verdicts[i] = slots[i].plan->Evaluate(*slots[i].db, budget_of(i));
+    });
+  }
   for (size_t i = 0; i < slots.size(); ++i) {
     if (slots[i].plan == nullptr) continue;
-    auto [it, inserted] =
-        group_of.try_emplace(slots[i].plan.get(), groups.size());
-    if (inserted) groups.emplace_back();
-    groups[it->second].push_back(i);
-  }
-
-  // Phase 3: evaluate group by group; the pool shards within a group
-  // (duplicate databases are deduped inside EvaluateBatch, and a
-  // single-database brute-force group shards its enumeration subtrees).
-  for (const std::vector<size_t>& group : groups) {
-    const PreparedQuery& plan = *slots[group[0]].plan;
-    std::vector<const Database*> dbs;
-    dbs.reserve(group.size());
-    for (size_t slot : group) dbs.push_back(slots[slot].db.get());
-    // One shared budget per plan group: the tightest member limits govern
-    // the whole group, and a trip cancels the group's in-flight shards
-    // (see the EvalBatch doc comment for the scope contract).
-    long long min_deadline_ms = -1;
-    long long min_steps = -1;
-    for (size_t slot : group) {
-      const long long d = EffectiveDeadlineMs(requests[slot]);
-      const long long s = EffectiveStepBudget(requests[slot]);
-      if (d >= 0 && (min_deadline_ms < 0 || d < min_deadline_ms)) {
-        min_deadline_ms = d;
-      }
-      if (s >= 0 && (min_steps < 0 || s < min_steps)) min_steps = s;
+    const Result<EntailResult>& verdict = verdicts[owner[i]];
+    if (!verdict.ok()) {
+      results[i] = verdict.status();
+      continue;
     }
-    ExecBudget budget;
-    if (min_deadline_ms >= 0) {
-      budget.SetDeadline(batch_start +
-                         std::chrono::milliseconds(min_deadline_ms));
-    }
-    if (min_steps >= 0) budget.SetStepLimit(min_steps);
-    if (cancel != nullptr) budget.SetCancelToken(cancel);
-    std::vector<Result<EntailResult>> verdicts = plan.EvaluateBatch(
-        dbs, num_workers_, budget.limited() ? &budget : nullptr);
-    for (size_t k = 0; k < group.size(); ++k) {
-      const size_t i = group[k];
-      if (!verdicts[k].ok()) {
-        results[i] = verdicts[k].status();
-        continue;
-      }
-      results[i] =
-          MakeResponse(plan, *slots[i].db, std::move(verdicts[k].value()),
-                       slots[i].cache_hit, requests[i]);
-    }
+    results[i] = MakeResponse(*slots[i].plan, *slots[i].db, verdict.value(),
+                              slots[i].cache_hit, requests[i]);
   }
   return results;
 }

@@ -16,11 +16,11 @@
 //     cache, so no request can be served from a stale structure;
 //   * a bounded LRU plan cache (service/plan_cache.h) keyed by
 //     (vocabulary uid, plan fingerprint) with hit/miss/eviction counters;
-//   * batch scheduling onto the worker pool
-//     (PreparedQuery::EvaluateBatch): a batch is grouped by
-//     compiled plan, each group fans its databases across the workers,
-//     and results land in their request slots — the response order is
-//     deterministic and independent of scheduling.
+//   * batch scheduling onto the worker pool: every distinct
+//     (plan, database) member of a batch fans out across the workers in
+//     one go, whatever plan group it belongs to, and results land in
+//     their request slots — the response order is deterministic and
+//     independent of scheduling.
 //
 // Thread-safety: the service is fully synchronized — any number of
 // threads may call Eval/EvalBatch concurrently with each other and with
@@ -165,19 +165,23 @@ class EvaluationService {
   Result<EvalResponse> Eval(const EvalRequest& request,
                             const CancelToken* cancel = nullptr);
 
-  /// Serves a batch: requests are grouped by compiled plan, each group's
-  /// databases are fanned across the worker pool, and results[i] is
-  /// always the verdict of requests[i] regardless of scheduling. Every
-  /// member pins its database version at batch start. Per-request
-  /// failures (unknown database, parse errors) fail only their own slot.
+  /// Serves a batch: the distinct (plan, database) members fan out
+  /// across the worker pool together, so plan groups do not wait for
+  /// each other, and results[i] is always the verdict of requests[i]
+  /// regardless of scheduling. Members repeating a (plan, database) pair
+  /// share one evaluation. A batch with a single distinct pair shards
+  /// that query's enumeration across the pool instead. Every member pins
+  /// its database version at batch start. Per-request failures (unknown
+  /// database, parse errors) fail only their own slot.
   ///
   /// Batch governance scope: each plan group shares one ExecBudget — its
   /// deadline is the batch start plus the smallest effective member
   /// deadline, its step limit the smallest effective member budget, and
   /// `cancel` is attached to every group. A trip propagates to the
-  /// group's in-flight worker shards at their next stride check, and the
+  /// group's in-flight members at their next stride check, and the
   /// not-yet-finished members of the group fail with the same typed
-  /// status (fail-fast is the point of a batch deadline). Members of
+  /// status (fail-fast is the point of a batch deadline); members of
+  /// other groups, running beside them, are untouched. Members of
   /// all-unlimited groups run ungoverned.
   std::vector<Result<EvalResponse>> EvalBatch(
       std::span<const EvalRequest> requests,

@@ -159,6 +159,8 @@ TEST(ParallelBruteForceTest, SubtreeShardingMatchesSerialOnRandomCorpus) {
             << "seed " << seed << " workers " << workers;
         EXPECT_EQ(parallel.groups_pushed, serial.groups_pushed)
             << "seed " << seed << " workers " << workers;
+        EXPECT_EQ(parallel.groups_popped, serial.groups_popped)
+            << "seed " << seed << " workers " << workers;
         EXPECT_EQ(parallel.check_stats.reach_probes,
                   serial.check_stats.reach_probes)
             << "seed " << seed << " workers " << workers;
@@ -177,6 +179,60 @@ TEST(ParallelBruteForceTest, SubtreeShardingMatchesSerialOnRandomCorpus) {
       }
     }
   }
+}
+
+TEST(ParallelBruteForceTest, NotEntailedDecisionsReportSerialCounters) {
+  // A not-entailed sharded decision merges the counters of subtrees
+  // 0..winner only (the serial search stops in the winner's subtree
+  // too), so its work counters and countermodel are exactly the serial
+  // run's, whatever the sibling subtrees above the winner had done.
+  int not_entailed = 0;
+  for (uint64_t seed = 0; seed < 40; ++seed) {
+    auto vocab = std::make_shared<Vocabulary>();
+    Rng rng(7000 + seed);
+    MonadicDbParams params;
+    params.num_chains = 3;
+    params.chain_length = rng.UniformInt(1, 3);
+    params.num_predicates = 2;
+    params.le_probability = 0.3;
+    Database db = RandomMonadicDb(params, vocab, rng);
+    Query query = RandomDisjunctiveSequentialQuery(
+        rng.UniformInt(1, 2), rng.UniformInt(1, 3), 2, 0.5, 0.4, vocab, rng);
+    Result<NormQuery> norm_query = NormalizeQuery(query);
+    ASSERT_TRUE(norm_query.ok());
+    Result<NormDb> norm = Normalize(db);
+    ASSERT_TRUE(norm.ok());
+
+    EngineContext context;
+    context.want_countermodel = true;
+    const EngineOutcome serial =
+        EntailBruteForce(norm.value(), norm_query.value(), context);
+    if (serial.entailed) continue;
+    ++not_entailed;
+    ASSERT_TRUE(serial.countermodel.has_value()) << "seed " << seed;
+    for (int workers : {2, 4}) {
+      for (int round = 0; round < 3; ++round) {
+        context.num_threads = workers;
+        const EngineOutcome parallel =
+            EntailBruteForce(norm.value(), norm_query.value(), context);
+        const std::string where = "seed " + std::to_string(seed) +
+                                  " workers " + std::to_string(workers);
+        ASSERT_FALSE(parallel.entailed) << where;
+        ASSERT_TRUE(parallel.countermodel.has_value()) << where;
+        EXPECT_EQ(parallel.countermodel->ToString(),
+                  serial.countermodel->ToString())
+            << where;
+        EXPECT_EQ(parallel.models_enumerated, serial.models_enumerated)
+            << where;
+        EXPECT_EQ(parallel.groups_pushed, serial.groups_pushed) << where;
+        EXPECT_EQ(parallel.groups_popped, serial.groups_popped) << where;
+        EXPECT_EQ(parallel.check_stats.assignments_tried,
+                  serial.check_stats.assignments_tried)
+            << where;
+      }
+    }
+  }
+  EXPECT_GE(not_entailed, 10);
 }
 
 TEST(ParallelEvaluateBatchTest, BatchSlotsReportIdenticalCounters) {

@@ -191,6 +191,142 @@ TEST(ServiceGovernanceTest, BatchCancelTokenCancelsEveryGroup) {
   }
 }
 
+TEST(ServiceGovernanceTest, ConcurrentGroupsKeepTheirOwnBudgets) {
+  // Members of a batch fan out across the pool together; a group whose
+  // shared budget trips still fails alone while the other groups run
+  // beside it, and a pre-cancelled token still fails every group.
+  ServiceOptions options;
+  options.num_workers = 4;
+  EvaluationService service(options);
+  ASSERT_TRUE(service.Load("t", kDbText).ok());
+  EvalRequest limited = MakeRequest(-1, /*step_budget=*/0);
+  std::vector<EvalRequest> requests = {limited};
+  for (const char* query :
+       {"exists t: P(t)", "exists t: Q(t)", "exists t1 t2: P(t1) & t1 <= t2",
+        "exists t: P(t) | exists s: Q(s)"}) {
+    EvalRequest unlimited = MakeRequest();
+    unlimited.query = query;
+    requests.push_back(unlimited);
+  }
+  requests.push_back(limited);
+  std::vector<Result<EvalResponse>> responses = service.EvalBatch(requests);
+  ASSERT_EQ(responses.size(), requests.size());
+  for (size_t i : {size_t{0}, requests.size() - 1}) {
+    ASSERT_FALSE(responses[i].ok()) << "member " << i;
+    EXPECT_EQ(responses[i].status().code(), StatusCode::kDeadlineExceeded)
+        << "member " << i;
+  }
+  for (size_t i = 1; i + 1 < requests.size(); ++i) {
+    ASSERT_TRUE(responses[i].ok())
+        << "member " << i << ": " << responses[i].status().ToString();
+    EXPECT_TRUE(responses[i].value().entailed) << "member " << i;
+  }
+
+  CancelToken token;
+  token.Cancel();
+  responses = service.EvalBatch(requests, &token);
+  ASSERT_EQ(responses.size(), requests.size());
+  for (size_t i = 0; i < responses.size(); ++i) {
+    ASSERT_FALSE(responses[i].ok()) << "member " << i;
+    EXPECT_EQ(responses[i].status().code(), StatusCode::kCancelled)
+        << "member " << i;
+  }
+}
+
+// A mixed batch: distinct plans over every engine, repeated (query, db)
+// pairs, an unknown database and a query that fails to parse.
+std::vector<EvalRequest> MixedBatch() {
+  struct Member {
+    const char* db;
+    const char* query;
+    EngineKind engine;
+  };
+  const Member members[] = {
+      {"a", "exists t1 t2: P(t1) & t1 < t2 & Q(t2)", EngineKind::kAuto},
+      {"b", "exists t1 t2: Q(t1) & t1 < t2 & P(t2)", EngineKind::kAuto},
+      {"c", "exists t1 t2: P(t1) & t1 < t2 & Q(t2) | exists t: R(t)",
+       EngineKind::kAuto},
+      {"a", "exists t1 t2: P(t1) & P(t2) & t1 != t2", EngineKind::kAuto},
+      {"b", "exists t1 t2: P(t1) & t1 <= t2 & Q(t2)",
+       EngineKind::kPathDecomposition},
+      {"c", "exists t1 t2: Q(t1) & t1 < t2 & R(t2)", EngineKind::kBruteForce},
+      {"a", "exists t1 t2: P(t1) & t1 < t2 & Q(t2)", EngineKind::kAuto},
+      {"missing", "exists t: P(t)", EngineKind::kAuto},
+      {"b", "exists t: P(t) &", EngineKind::kAuto},
+      {"c", "exists t1 t2: P(t1) & t1 < t2 & Q(t2) | exists t: R(t)",
+       EngineKind::kAuto},
+      {"b", "exists t1 t2: Q(t1) & t1 < t2 & P(t2)", EngineKind::kAuto},
+      {"c", "exists t: Q(t) | exists s: R(s)", EngineKind::kDisjunctiveSearch},
+  };
+  std::vector<EvalRequest> requests;
+  for (const Member& member : members) {
+    EvalRequest request;
+    request.db = member.db;
+    request.query = member.query;
+    request.options.engine = member.engine;
+    request.options.want_countermodel = true;
+    request.explain = true;  // renders the evaluation counters
+    requests.push_back(request);
+  }
+  return requests;
+}
+
+Status LoadMixedDatabases(EvaluationService& service) {
+  const std::pair<const char*, const char*> dbs[] = {
+      {"a", "P(u)\nQ(v)\nP(w)\nu < v\nw <= v\n"},
+      {"b", "P(u)\nQ(v)\nP(x)\nQ(y)\nu < y\n"},
+      {"c", "P(u)\nQ(v)\nR(w)\nQ(x)\nu < v\nx <= w\n"},
+  };
+  for (const auto& [name, text] : dbs) {
+    Result<DbInfo> info = service.Load(name, text);
+    if (!info.ok()) return info.status();
+  }
+  return Status::Ok();
+}
+
+TEST(ServiceGovernanceTest, BatchMembersMatchSingleEvals) {
+  const std::vector<EvalRequest> requests = MixedBatch();
+  for (int workers : {1, 2, 4}) {
+    ServiceOptions options;
+    options.num_workers = workers;
+    EvaluationService service(options);
+    ASSERT_TRUE(LoadMixedDatabases(service).ok());
+    std::vector<Result<EvalResponse>> singles;
+    for (const EvalRequest& request : requests) {
+      singles.push_back(service.Eval(request));
+    }
+    const std::vector<Result<EvalResponse>> batch =
+        service.EvalBatch(requests);
+    ASSERT_EQ(batch.size(), requests.size());
+    int failed = 0;
+    for (size_t i = 0; i < requests.size(); ++i) {
+      const std::string where =
+          "workers " + std::to_string(workers) + " slot " + std::to_string(i);
+      ASSERT_EQ(batch[i].ok(), singles[i].ok()) << where;
+      if (!singles[i].ok()) {
+        ++failed;
+        EXPECT_EQ(batch[i].status().ToString(), singles[i].status().ToString())
+            << where;
+        continue;
+      }
+      const EvalResponse& got = batch[i].value();
+      const EvalResponse& want = singles[i].value();
+      EXPECT_EQ(got.entailed, want.entailed) << where;
+      EXPECT_EQ(got.engine_used, want.engine_used) << where;
+      ASSERT_EQ(got.countermodel.has_value(), want.countermodel.has_value())
+          << where;
+      if (want.countermodel.has_value()) {
+        EXPECT_EQ(got.countermodel->ToString(), want.countermodel->ToString())
+            << where;
+      }
+      EXPECT_EQ(got.explain, want.explain) << where;
+      EXPECT_EQ(got.db_uid, want.db_uid) << where;
+      EXPECT_EQ(got.db_revision, want.db_revision) << where;
+    }
+    EXPECT_EQ(failed, 2) << "workers " << workers;
+  }
+}
+
 TEST(ServiceGovernanceTest, GovernedRequestsDoNotPolluteStats) {
   // Governance is evaluation-time state: a governed and an ungoverned
   // request for the same (query, options) share one cached plan.
