@@ -9,7 +9,7 @@
 // transformed-db cache), so the gap isolates query-compilation cost —
 // constant elimination, inequality rewriting, normalization, the
 // rational-closure transform, the object/order split. The batch pair
-// additionally measures `EvaluateBatch` across many databases.
+// runs one query across a fleet of databases the same two ways.
 
 #include <benchmark/benchmark.h>
 
@@ -137,7 +137,8 @@ BENCHMARK(BM_SchedulingPrepared)->Arg(2)->Arg(4);
 
 // --- Batch: one plan, many databases ---------------------------------------
 // A fleet of plan variants checked against the same compiled forbidden
-// pattern: the EvaluateBatch seam.
+// pattern. (Spreading a fleet across workers is the service's batch
+// fan-out; bench_service_throughput's BM_ServiceFleetBatch measures it.)
 
 std::vector<SchedulingScenario> MakeFleet(int n) {
   auto vocab = std::make_shared<Vocabulary>();
@@ -169,58 +170,15 @@ void BM_BatchPrepared(benchmark::State& state) {
   std::vector<SchedulingScenario> fleet =
       MakeFleet(static_cast<int>(state.range(0)));
   PreparedQuery plan = PrepareForbiddenPlan(fleet[0]);
-  std::vector<const Database*> dbs;
-  dbs.reserve(fleet.size());
-  for (const SchedulingScenario& scenario : fleet) {
-    dbs.push_back(&scenario.db);
-  }
   for (auto _ : state) {
-    std::vector<Result<EntailResult>> results = plan.EvaluateBatch(dbs);
-    for (const Result<EntailResult>& result : results) {
+    for (const SchedulingScenario& scenario : fleet) {
+      Result<EntailResult> result = plan.Evaluate(scenario.db);
       IODB_CHECK(result.ok());
       benchmark::DoNotOptimize(result.value().entailed);
     }
   }
 }
 BENCHMARK(BM_BatchPrepared)->Arg(16);
-
-// --- Parallel batch: the scheduling fleet sharded across workers -----------
-// Same workload as BM_BatchPrepared with a larger fleet of heavier plan
-// variants, evaluated through EvaluateBatch(dbs, workers). Args: (fleet
-// size, workers). Workers=1 is the serial baseline through the same code path;
-// scaling tops out at the machine's core count (this is a per-database
-// sharding, so a 16-db fleet feeds at most 16 workers).
-
-void BM_BatchParallel(benchmark::State& state) {
-  auto vocab = std::make_shared<Vocabulary>();
-  std::vector<SchedulingScenario> fleet;
-  const int fleet_size = static_cast<int>(state.range(0));
-  fleet.reserve(fleet_size);
-  for (int i = 0; i < fleet_size; ++i) {
-    Rng rng(100 + i);
-    fleet.push_back(MakeSchedulingScenario(3, 5, rng, vocab));
-  }
-  PreparedQuery plan = PrepareForbiddenPlan(fleet[0]);
-  std::vector<const Database*> dbs;
-  dbs.reserve(fleet.size());
-  for (const SchedulingScenario& scenario : fleet) {
-    dbs.push_back(&scenario.db);
-  }
-  const int workers = static_cast<int>(state.range(1));
-  for (auto _ : state) {
-    std::vector<Result<EntailResult>> results =
-        plan.EvaluateBatch(dbs, workers);
-    for (const Result<EntailResult>& result : results) {
-      IODB_CHECK(result.ok());
-      benchmark::DoNotOptimize(result.value().entailed);
-    }
-  }
-}
-BENCHMARK(BM_BatchParallel)
-    ->Args({16, 1})
-    ->Args({16, 2})
-    ->Args({16, 4})
-    ->UseRealTime();
 
 }  // namespace
 }  // namespace iodb

@@ -243,7 +243,7 @@ struct NormDb {
   /// core-layer type stays out of this header. Same thread contract as
   /// Database::NormView: the lazy fill mutates under const, so the first
   /// build on a given NormDb must not race concurrent readers (the
-  /// parallel engines build it once before spawning workers).
+  /// service's Publish builds it before any reader sees the database).
   mutable std::shared_ptr<const void> order_context_cache;
 
   /// The previous revision's order context, carried over by NormView on

@@ -6,8 +6,10 @@
 // reduction, object/order split, engine classification) and evaluates the
 // resulting plan against the database. Callers that ask the same query
 // repeatedly should hold a `PreparedQuery` instead and call `Evaluate()`
-// / `EvaluateBatch()` directly — the compilation happens once and the
-// database's normalized view is memoized (Database::NormView).
+// directly — the compilation happens once and the database's normalized
+// view is memoized (Database::NormView). Every evaluation runs on the
+// calling thread; the service's batch scheduler (service/service.h) is
+// what spreads evaluations across threads.
 
 #ifndef IODB_CORE_ENGINE_H_
 #define IODB_CORE_ENGINE_H_

@@ -41,9 +41,6 @@ struct EngineContext {
   /// Brute force: plan-memoized matcher schedules, parallel to
   /// query.disjuncts. Null compiles them per run.
   const std::vector<const CompiledConjunct*>* compiled = nullptr;
-  /// Brute force in decision mode: shard the root subtrees of the
-  /// enumeration across this many workers.
-  int num_threads = 1;
   /// Bounded width and disjunctive (and the path engine's witness): the
   /// query is already transitively reduced, so skip the per-call
   /// reduction (PreparedQuery memoizes it at Prepare() time).

@@ -22,20 +22,10 @@
 // cuts subtrees that contain no countermodel, so the sequence equals
 // the filtered enumeration of all minimal models).
 //
-// With `num_threads > 1` (decision mode) the enumeration forest is
-// sharded at the root: each first-group subtree is an independent
-// enumeration (ForEachMinimalModelFrom) handed to a worker. Verdict and
-// countermodel are deterministic (the winning countermodel is the first
-// one of the lowest-indexed subtree containing any, i.e. the one the
-// serial search reports). So are the enumeration and matcher counters:
-// an entailed run merges every subtree, a not-entailed one only the
-// subtrees up to the winner (none of them aborted, and the winner's
-// stopped where the serial search stops), dropping the partial work of
-// subtrees past the winner. The reachability-probe counters of a
-// not-entailed run also count the depth-0 probes of every root, which
-// the serial search stops short of. A run that exhausts a shared budget
-// stays timing-dependent: where each worker stops depends on when the
-// others charged.
+// The search is serial: one call is one thread. Evaluation is spread
+// across threads one level up, by the service's batch scheduler, which
+// runs distinct (plan, database) pairs at once; a decision's verdict,
+// countermodel and counters therefore never depend on the worker count.
 
 #ifndef IODB_CORE_ENTAIL_BRUTEFORCE_H_
 #define IODB_CORE_ENTAIL_BRUTEFORCE_H_
@@ -48,7 +38,7 @@ namespace iodb {
 
 /// Decides db |= query over the finite-model semantics. Uses the
 /// context's budget, countermodel request or callback, compiled
-/// schedules, num_threads and order source.
+/// schedules and order source.
 EngineOutcome EntailBruteForce(const NormDb& db, const NormQuery& query,
                                const EngineContext& context = {});
 

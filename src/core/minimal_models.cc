@@ -56,41 +56,6 @@ struct MaskSort {
   }
 };
 
-bool RunEnumeration(const NormDb& db, const EnumerationContext& context,
-                    const std::vector<std::vector<int>>& prefix,
-                    const ModelVisitor& visitor) {
-  ReachProbeStats stats;
-  bool completed;
-  if (context.has_masks) {
-    MaskSort sort{visitor, context, stats, {}};
-    sort.stack.groups.reserve(db.num_points());
-    uint64_t alive = db.num_points() == 64
-                         ? ~uint64_t{0}
-                         : (uint64_t{1} << db.num_points()) - 1;
-    // Seed the prefix; each group must be alive and minor (checked).
-    for (const std::vector<int>& group : prefix) {
-      IODB_CHECK(!group.empty());
-      for (int g : group) {
-        IODB_CHECK((alive >> g) & 1);
-        IODB_CHECK_EQ(context.strict_anc_mask[g] & alive, 0u);
-      }
-      for (int g : group) alive &= ~(uint64_t{1} << g);
-      sort.stack.Push().assign(group.begin(), group.end());
-    }
-    completed = sort.Sort(alive);
-  } else {
-    GroupChooser chooser(db, context, stats);
-    for (const std::vector<int>& group : prefix) chooser.Seed(group);
-    completed = SortGeneral(chooser, visitor);
-  }
-  if (visitor.stats != nullptr) {
-    visitor.stats->AddReachProbes(stats);
-    visitor.stats->index_rebuilds =
-        std::max(visitor.stats->index_rebuilds, context.index_rebuilds());
-  }
-  return completed;
-}
-
 }  // namespace
 
 GroupChooser::GroupChooser(const NormDb& db, const EnumerationContext& ctx,
@@ -142,16 +107,6 @@ void GroupChooser::Shift(const std::vector<int>& group, int delta) {
       strict_in_[ctx_.strict_out[k]] += delta;
     }
   }
-}
-
-void GroupChooser::Seed(const std::vector<int>& group) {
-  IODB_CHECK(!group.empty());
-  for (int g : group) {
-    IODB_CHECK(alive_[g]);
-    IODB_CHECK_EQ(strict_in_[g], 0);
-  }
-  stack_.Push().assign(group.begin(), group.end());
-  Remove(stack_.groups.back());
 }
 
 EnumerationContext::EnumerationContext(const NormDb& db)
@@ -316,14 +271,30 @@ std::shared_ptr<const EnumerationContext> EngineOrderContext(
 }
 
 bool ForEachMinimalModel(const NormDb& db, const ModelVisitor& visitor) {
-  return RunEnumeration(db, *SharedEnumerationContext(db), {}, visitor);
+  return ForEachMinimalModelFrom(db, *SharedEnumerationContext(db), visitor);
 }
 
 bool ForEachMinimalModelFrom(const NormDb& db,
                              const EnumerationContext& context,
-                             const std::vector<std::vector<int>>& prefix,
                              const ModelVisitor& visitor) {
-  return RunEnumeration(db, context, prefix, visitor);
+  ReachProbeStats stats;
+  bool completed;
+  if (context.has_masks) {
+    MaskSort sort{visitor, context, stats, {}};
+    sort.stack.groups.reserve(db.num_points());
+    completed = sort.Sort(db.num_points() == 64
+                              ? ~uint64_t{0}
+                              : (uint64_t{1} << db.num_points()) - 1);
+  } else {
+    GroupChooser chooser(db, context, stats);
+    completed = SortGeneral(chooser, visitor);
+  }
+  if (visitor.stats != nullptr) {
+    visitor.stats->AddReachProbes(stats);
+    visitor.stats->index_rebuilds =
+        std::max(visitor.stats->index_rebuilds, context.index_rebuilds());
+  }
+  return completed;
 }
 
 long long CountMinimalModels(const NormDb& db, long long limit) {

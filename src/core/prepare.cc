@@ -13,7 +13,6 @@
 #include "core/planner.h"
 #include "core/semantics.h"
 #include "graph/union_find.h"
-#include "util/parallel.h"
 
 namespace iodb {
 
@@ -556,12 +555,6 @@ std::optional<PreparedQuery::AssembledQuery> PreparedQuery::AssembleSplitQuery(
 
 Result<EntailResult> PreparedQuery::Evaluate(const Database& db,
                                              ExecBudget* budget) const {
-  return EvaluateWith(db, 1, budget);
-}
-
-Result<EntailResult> PreparedQuery::EvaluateWith(const Database& db,
-                                                 int num_threads,
-                                                 ExecBudget* budget) const {
   // Admission check: a request whose deadline already passed (or whose
   // batch was cancelled) fails fast instead of starting the search.
   if (budget != nullptr && !budget->Poll()) {
@@ -644,7 +637,6 @@ Result<EntailResult> PreparedQuery::EvaluateWith(const Database& db,
   EngineContext context;
   context.budget = budget;
   context.want_countermodel = options_.want_countermodel;
-  context.num_threads = num_threads;
   EngineOutcome outcome = RunEngine(engine, ndb, split_query, plan_index,
                                     std::move(context));
   static_cast<EngineCounters&>(result) = outcome;
@@ -702,46 +694,6 @@ EngineOutcome PreparedQuery::RunEngine(EngineKind engine, const NormDb& ndb,
   }
   IODB_CHECK(false);  // callers resolve kAuto first
   return EngineOutcome{};
-}
-
-std::vector<Result<EntailResult>> PreparedQuery::EvaluateBatch(
-    std::span<const Database* const> dbs, int num_workers,
-    ExecBudget* budget) const {
-  for (const Database* db : dbs) IODB_CHECK(db != nullptr);
-  if (num_workers <= 1) {
-    std::vector<Result<EntailResult>> results;
-    results.reserve(dbs.size());
-    for (const Database* db : dbs) results.push_back(Evaluate(*db, budget));
-    return results;
-  }
-  if (dbs.size() == 1) {
-    // One hard query: shard its enumeration subtrees instead.
-    std::vector<Result<EntailResult>> results;
-    results.push_back(EvaluateWith(*dbs[0], num_workers, budget));
-    return results;
-  }
-
-  // Duplicate pointers must not be evaluated concurrently (a Database's
-  // NormView fills lazily); evaluate the first occurrence, copy the rest.
-  std::unordered_map<const Database*, size_t> first_of;
-  std::vector<size_t> owners(dbs.size());
-  std::vector<size_t> unique;
-  for (size_t i = 0; i < dbs.size(); ++i) {
-    auto [it, inserted] = first_of.try_emplace(dbs[i], i);
-    owners[i] = it->second;
-    if (inserted) unique.push_back(i);
-  }
-
-  std::vector<Result<EntailResult>> results(
-      dbs.size(), Result<EntailResult>(EntailResult{}));
-  ParallelFor(static_cast<int>(unique.size()), num_workers, [&](int k) {
-    const size_t i = unique[k];
-    results[i] = Evaluate(*dbs[i], budget);
-  });
-  for (size_t i = 0; i < dbs.size(); ++i) {
-    if (owners[i] != i) results[i] = results[owners[i]];
-  }
-  return results;
 }
 
 Result<long long> PreparedQuery::EnumerateCountermodels(

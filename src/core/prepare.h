@@ -25,9 +25,11 @@
 //
 // The resulting `PreparedQuery` is an inspectable plan: `Evaluate(db)`
 // finishes the cheap database-dependent work (memoized normalization via
-// Database::NormView, ground-fact filtering, dispatch), `EvaluateBatch`
-// amortizes one plan across many databases, and `Explain()` renders the
-// plan as text. `Entails()` in core/engine.h is a thin wrapper over
+// Database::NormView, ground-fact filtering, dispatch) on the calling
+// thread, and `Explain()` renders the plan as text. One plan is
+// evaluated against many databases by calling `Evaluate` for each, from
+// as many threads as the caller likes (the service's batch scheduler
+// does exactly that). `Entails()` in core/engine.h is a thin wrapper over
 // Prepare + Evaluate, so both paths return identical verdicts and engine
 // choices by construction.
 
@@ -39,7 +41,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -116,7 +117,7 @@ struct DisjunctPlan {
 ///
 /// Thread-safety: the plan's own caches are internally synchronized, so
 /// concurrent Evaluate calls on ONE plan against DISTINCT Database
-/// objects are safe (a sharded EvaluateBatch relies on this). A single
+/// objects are safe (the service's batch workers rely on this). A single
 /// Database object still must not be evaluated concurrently — its
 /// memoized NormView fills lazily under const.
 class PreparedQuery {
@@ -141,23 +142,6 @@ class PreparedQuery {
   /// results bit-identical to an ungoverned run.
   Result<EntailResult> Evaluate(const Database& db,
                                 ExecBudget* budget = nullptr) const;
-
-  /// Evaluates the plan against every database of the batch. One plan,
-  /// many stores. `num_workers <= 1` evaluates them in order on the
-  /// calling thread. A larger `num_workers` shards the batch across a
-  /// small worker pool; callers pick DefaultWorkerCount()
-  /// (util/parallel.h) for "whatever the machine has". Results land in
-  /// their input slots either way (deterministic merge: result[i] is
-  /// always db[i]'s verdict, independent of scheduling); sharded,
-  /// duplicate Database pointers are evaluated once and their result
-  /// copied, and a single-database batch shards the enumeration subtrees
-  /// of that one query instead. A shared `budget` (thread-safe) governs
-  /// the whole batch: once it trips, every remaining member and in-flight
-  /// shard fails fast with the typed status — the seam batch-level
-  /// deadlines and cancellation propagate through.
-  std::vector<Result<EntailResult>> EvaluateBatch(
-      std::span<const Database* const> dbs, int num_workers = 1,
-      ExecBudget* budget = nullptr) const;
 
   /// Enumerates the countermodels of the prepared query in `db`; see
   /// EnumerateCountermodels in core/engine.h for the contract. On budget
@@ -253,11 +237,6 @@ class PreparedQuery {
   /// `static_split_` holds it precomputed and this returns nothing.
   std::optional<AssembledQuery> AssembleSplitQuery(const NormDb& ndb) const;
 
-  /// Evaluate with the brute-force enumeration sharded over num_threads
-  /// workers (1 = serial; Evaluate() is EvaluateWith(db, 1, budget)).
-  Result<EntailResult> EvaluateWith(const Database& db, int num_threads,
-                                    ExecBudget* budget) const;
-
   /// The one engine call of Evaluate and EnumerateCountermodels: runs
   /// `engine` (resolved, not kAuto) on the surviving disjuncts, adding
   /// to `context` the plan-memoized artifacts the engine uses (matcher
@@ -300,7 +279,7 @@ class PreparedQuery {
   // amortize the transform per store. Bounded: once full, a miss on a new
   // database evicts everything, keeping long-lived plans from
   // accumulating entries for short-lived databases. Guarded by cache_mu_
-  // (sharded EvaluateBatch workers share the plan); entries are
+  // (concurrent Evaluate calls share the plan); entries are
   // shared_ptrs so an eviction never frees a view a worker still holds.
   struct TransformCache {
     uint64_t revision;

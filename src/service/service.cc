@@ -312,22 +312,15 @@ std::vector<Result<EvalResponse>> EvaluationService::EvalBatch(
   // Phase 3: one fan-out over the distinct pairs of the whole batch, so
   // plan groups do not wait for each other. Different plans may evaluate
   // one pinned database at once, which is safe because Publish()
-  // pre-materialized everything evaluation fills lazily. A batch with one
-  // distinct pair shards that one query's enumeration subtrees across the
-  // pool instead.
+  // pre-materialized everything evaluation fills lazily. This is the only
+  // place evaluation is spread across threads: each pair runs serially,
+  // so a member reports exactly what the same EVAL reports.
   std::vector<Result<EntailResult>> verdicts(
       slots.size(), Result<EntailResult>(EntailResult{}));
-  if (unique.size() == 1) {
-    const size_t i = unique[0];
-    const Database* db[] = {slots[i].db.get()};
-    verdicts[i] = std::move(
-        slots[i].plan->EvaluateBatch(db, num_workers_, budget_of(i))[0]);
-  } else {
-    ParallelFor(static_cast<int>(unique.size()), num_workers_, [&](int k) {
-      const size_t i = unique[k];
-      verdicts[i] = slots[i].plan->Evaluate(*slots[i].db, budget_of(i));
-    });
-  }
+  ParallelFor(static_cast<int>(unique.size()), num_workers_, [&](int k) {
+    const size_t i = unique[k];
+    verdicts[i] = slots[i].plan->Evaluate(*slots[i].db, budget_of(i));
+  });
   for (size_t i = 0; i < slots.size(); ++i) {
     if (slots[i].plan == nullptr) continue;
     const Result<EntailResult>& verdict = verdicts[owner[i]];

@@ -20,7 +20,8 @@
 //     (plan, database) member of a batch fans out across the workers in
 //     one go, whatever plan group it belongs to, and results land in
 //     their request slots — the response order is deterministic and
-//     independent of scheduling.
+//     independent of scheduling. This is the one place evaluation is
+//     spread across threads; each evaluation itself runs serially.
 //
 // Thread-safety: the service is fully synchronized — any number of
 // threads may call Eval/EvalBatch concurrently with each other and with
@@ -169,10 +170,11 @@ class EvaluationService {
   /// across the worker pool together, so plan groups do not wait for
   /// each other, and results[i] is always the verdict of requests[i]
   /// regardless of scheduling. Members repeating a (plan, database) pair
-  /// share one evaluation. A batch with a single distinct pair shards
-  /// that query's enumeration across the pool instead. Every member pins
-  /// its database version at batch start. Per-request failures (unknown
-  /// database, parse errors) fail only their own slot.
+  /// share one evaluation. Each pair runs serially on one worker, so a
+  /// member reports exactly the verdict, countermodel and counters of
+  /// the same Eval. Every member pins its database version at batch
+  /// start. Per-request failures (unknown database, parse errors) fail
+  /// only their own slot.
   ///
   /// Batch governance scope: each plan group shares one ExecBudget — its
   /// deadline is the batch start plus the smallest effective member

@@ -21,9 +21,9 @@
 // conformance fuzzer): a governed run that does NOT exhaust its budget is
 // bit-identical to an ungoverned run — verdict, countermodel, and every
 // work counter — because a budget is observationally passive until it
-// trips. This holds for the sharded-parallel engines too: the budget is
-// thread-safe and shared, and a non-tripped budget never changes any
-// worker's control flow.
+// trips. This holds across a batch plan group too: the budget is
+// thread-safe and shared by the group's concurrent evaluations, and a
+// non-tripped budget never changes any of their control flow.
 
 #ifndef IODB_UTIL_BUDGET_H_
 #define IODB_UTIL_BUDGET_H_

@@ -1,5 +1,6 @@
 #include "util/parallel.h"
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 #include <vector>

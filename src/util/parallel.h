@@ -1,8 +1,10 @@
 // A minimal worker pool: index-sharded parallel-for over [0, n).
 //
 // Workers pull indices from one atomic counter (dynamic load balancing —
-// enumeration subtrees and fleet databases are wildly uneven), run the
-// body, and join before the call returns. The body must synchronize any
+// the evaluations of a batch are wildly uneven), run the body, and join
+// before the call returns. The service's batch scheduler
+// (EvaluationService::EvalBatch) is the one caller that spreads
+// evaluation work with it. The body must synchronize any
 // state shared across indices itself; writing to a per-index slot needs
 // no synchronization. Exceptions must not escape the body.
 

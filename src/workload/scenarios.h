@@ -64,7 +64,7 @@ SchedulingScenario MakeSchedulingScenario(int num_workers,
 
 /// As above, but interning the step-kind predicates into a caller-provided
 /// vocabulary, so a fleet of scenario databases can share one compiled
-/// plan (PreparedQuery::EvaluateBatch).
+/// plan (one PreparedQuery evaluated against each).
 SchedulingScenario MakeSchedulingScenario(int num_workers,
                                           int tasks_per_worker, Rng& rng,
                                           VocabularyPtr vocab);

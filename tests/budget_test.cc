@@ -24,6 +24,7 @@
 #include "core/prepare.h"
 #include "core/printer.h"
 #include "util/check.h"
+#include "util/parallel.h"
 #include "util/random.h"
 #include "workload/generators.h"
 
@@ -286,30 +287,50 @@ TEST(BudgetGovernanceTest, NonExhaustedGovernedRunIsBitIdentical) {
   EXPECT_GT(conjunctive_runs, 10);
 }
 
-// The sharded-parallel path with a shared (huge) budget must agree with
-// the ungoverned parallel path — the budget is thread-safe and a
-// non-tripped budget never changes a worker's control flow.
+// A batch plan group's shape: evaluations running at once on the worker
+// pool, charging one shared (huge) budget, must agree with the serial
+// ungoverned runs — the budget is thread-safe and a non-tripped budget
+// never changes any evaluation's control flow.
 TEST(BudgetGovernanceTest, ParallelGovernedVerdictMatches) {
   auto vocab = std::make_shared<Vocabulary>();
+  std::vector<SmallInstance> instances;
+  std::vector<PreparedQuery> plans;
   for (uint64_t seed = 100; seed < 120; ++seed) {
-    SmallInstance instance = DrawSmall(seed, vocab);
+    instances.push_back(DrawSmall(seed, vocab));
     EntailOptions options;
-    Result<PreparedQuery> plan = Prepare(vocab, instance.query, options);
+    options.want_countermodel = true;
+    Result<PreparedQuery> plan =
+        Prepare(vocab, instances.back().query, options);
     ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-    std::vector<const Database*> dbs{&instance.db};
-    std::vector<Result<EntailResult>> plain =
-        plan.value().EvaluateBatch(dbs, 4);
-    ExecBudget budget;
-    budget.SetStepLimit(1LL << 60);
-    std::vector<Result<EntailResult>> governed =
-        plan.value().EvaluateBatch(dbs, 4, &budget);
-    ASSERT_EQ(plain.size(), 1u);
-    ASSERT_EQ(governed.size(), 1u);
-    ASSERT_TRUE(plain[0].ok()) << plain[0].status().ToString();
-    ASSERT_TRUE(governed[0].ok()) << governed[0].status().ToString();
-    EXPECT_EQ(plain[0].value().entailed, governed[0].value().entailed)
-        << "seed " << seed;
-    EXPECT_FALSE(budget.exhausted());
+    plans.push_back(std::move(plan.value()));
+  }
+  const int n = static_cast<int>(instances.size());
+  ExecBudget budget;
+  budget.SetStepLimit(1LL << 60);
+  std::vector<Result<EntailResult>> governed(n, EntailResult{});
+  ParallelFor(n, 4, [&](int k) {
+    governed[k] = plans[k].Evaluate(instances[k].db, &budget);
+  });
+  EXPECT_FALSE(budget.exhausted());
+  std::vector<Result<EntailResult>> plain(n, EntailResult{});
+  for (int k = 0; k < n; ++k) plain[k] = plans[k].Evaluate(instances[k].db);
+  for (int k = 0; k < n; ++k) {
+    ASSERT_TRUE(plain[k].ok()) << plain[k].status().ToString();
+    ASSERT_TRUE(governed[k].ok()) << governed[k].status().ToString();
+    const EntailResult& a = plain[k].value();
+    const EntailResult& b = governed[k].value();
+    EXPECT_EQ(a.entailed, b.entailed) << "instance " << k;
+    EXPECT_EQ(a.engine_used, b.engine_used) << "instance " << k;
+    EXPECT_EQ(a.states_visited, b.states_visited) << "instance " << k;
+    EXPECT_EQ(a.models_enumerated, b.models_enumerated) << "instance " << k;
+    EXPECT_EQ(a.check_stats.reach_probes, b.check_stats.reach_probes)
+        << "instance " << k;
+    ASSERT_EQ(a.countermodel.has_value(), b.countermodel.has_value())
+        << "instance " << k;
+    if (a.countermodel.has_value()) {
+      EXPECT_EQ(a.countermodel->ToString(), b.countermodel->ToString())
+          << "instance " << k;
+    }
   }
 }
 

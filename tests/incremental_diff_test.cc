@@ -117,9 +117,8 @@ struct ReferenceEnumerator {
   }
 };
 
-std::vector<std::string> EnumerationTrace(
-    const NormDb& db, bool reference,
-    const std::vector<std::vector<int>>* prefix = nullptr) {
+std::vector<std::string> EnumerationTrace(const NormDb& db,
+                                          bool reference) {
   std::vector<std::string> trace;
   ModelVisitor visitor;
   visitor.on_group = [&](int depth, const std::vector<int>& group) {
@@ -133,12 +132,8 @@ std::vector<std::string> EnumerationTrace(
     return true;
   };
   if (reference) {
-    EXPECT_EQ(prefix, nullptr);
     ReferenceEnumerator e(db, visitor);
     e.Recurse();
-  } else if (prefix != nullptr) {
-    ForEachMinimalModelFrom(db, *SharedEnumerationContext(db), *prefix,
-                            visitor);
   } else {
     ForEachMinimalModel(db, visitor);
   }
@@ -213,47 +208,6 @@ TEST(IncrementalEnumeratorTest, TraceMatchesReferenceOnRandomCorpus) {
     EXPECT_EQ(EnumerationTrace(norm, /*reference=*/true),
               EnumerationTrace(norm, /*reference=*/false))
         << "seed " << seed;
-  }
-}
-
-TEST(IncrementalEnumeratorTest, PrefixSeededSubtreesPartitionTheForest) {
-  for (uint64_t seed = 0; seed < 20; ++seed) {
-    auto vocab = std::make_shared<Vocabulary>();
-    Database db = RandomCorpusDb(seed, vocab);
-    NormDb norm = MustNormalize(db);
-    if (norm.num_points() == 0) continue;
-
-    // Roots = the first-level group choices.
-    std::vector<std::vector<int>> roots;
-    ModelVisitor collect;
-    collect.on_group = [&](int, const std::vector<int>& group) {
-      roots.push_back(group);
-      return false;
-    };
-    ForEachMinimalModel(norm, collect);
-
-    // Concatenating the per-root subtree model sequences in root order
-    // reproduces the full enumeration's model sequence.
-    std::vector<std::string> full;
-    ModelVisitor models_only;
-    models_only.on_model = [&](const std::vector<std::vector<int>>& groups) {
-      full.push_back(BuildMinimalModel(norm, groups).ToString());
-      return true;
-    };
-    ForEachMinimalModel(norm, models_only);
-
-    std::vector<std::string> sharded;
-    for (const std::vector<int>& root : roots) {
-      std::vector<std::vector<int>> prefix{root};
-      ModelVisitor sub;
-      sub.on_model = [&](const std::vector<std::vector<int>>& groups) {
-        sharded.push_back(BuildMinimalModel(norm, groups).ToString());
-        return true;
-      };
-      ForEachMinimalModelFrom(norm, *SharedEnumerationContext(norm), prefix,
-                              sub);
-    }
-    EXPECT_EQ(full, sharded) << "seed " << seed;
   }
 }
 

@@ -1,7 +1,9 @@
-// EvaluateBatch with num_workers > 1 and the sharded brute-force
-// enumeration: the parallel paths must return results identical to the
-// serial num_workers = 1 run — verdict, engine, and countermodel —
-// regardless of worker count, with results landing in their input slots.
+// One plan evaluated against many databases at once — the shape of the
+// service's batch fan-out (ParallelFor over PreparedQuery::Evaluate on
+// distinct Database objects). The concurrent runs must return results
+// identical to the serial ones — verdict, engine, countermodel and work
+// counters — regardless of worker count, with results landing in their
+// input slots.
 
 #include <atomic>
 #include <string>
@@ -9,8 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/engine.h"
-#include "core/entail_bruteforce.h"
 #include "core/parser.h"
 #include "core/prepare.h"
 #include "util/parallel.h"
@@ -20,6 +20,18 @@
 
 namespace iodb {
 namespace {
+
+// Evaluates `plan` against every database on up to `workers` threads;
+// result[i] is dbs[i]'s verdict. The databases must be distinct objects
+// (a Database's NormView fills lazily).
+std::vector<Result<EntailResult>> EvaluateFleet(
+    const PreparedQuery& plan, const std::vector<const Database*>& dbs,
+    int workers) {
+  std::vector<Result<EntailResult>> results(dbs.size(), EntailResult{});
+  ParallelFor(static_cast<int>(dbs.size()), workers,
+              [&](int i) { results[i] = plan.Evaluate(*dbs[i]); });
+  return results;
+}
 
 void ExpectSameResults(const std::vector<Result<EntailResult>>& serial,
                        const std::vector<Result<EntailResult>>& parallel) {
@@ -64,22 +76,13 @@ TEST(ParallelEvaluateBatchTest, SchedulingFleetMatchesSerial) {
   std::vector<const Database*> dbs;
   for (const SchedulingScenario& scenario : fleet) dbs.push_back(&scenario.db);
 
+  // The concurrent run goes first, so the lazy per-database fills happen
+  // on the workers.
+  const std::vector<Result<EntailResult>> cold = EvaluateFleet(plan, dbs, 4);
   const std::vector<Result<EntailResult>> serial =
-      plan.EvaluateBatch(dbs, /*num_workers=*/1);
-  for (int workers : {2, 4}) {
-    ExpectSameResults(serial, plan.EvaluateBatch(dbs, workers));
-  }
-}
-
-TEST(ParallelEvaluateBatchTest, DuplicateDatabasePointersShareOneEvaluation) {
-  auto vocab = std::make_shared<Vocabulary>();
-  Rng rng(42);
-  SchedulingScenario scenario = MakeSchedulingScenario(2, 3, rng, vocab);
-  PreparedQuery plan = PrepareForbiddenPlan(scenario);
-  std::vector<const Database*> dbs(5, &scenario.db);
-  const std::vector<Result<EntailResult>> serial =
-      plan.EvaluateBatch(dbs, /*num_workers=*/1);
-  ExpectSameResults(serial, plan.EvaluateBatch(dbs, 4));
+      EvaluateFleet(plan, dbs, /*workers=*/1);
+  ExpectSameResults(serial, cold);
+  ExpectSameResults(serial, EvaluateFleet(plan, dbs, 2));
 }
 
 TEST(ParallelEvaluateBatchTest, TransformPlansShareTheGuardedCache) {
@@ -106,140 +109,19 @@ TEST(ParallelEvaluateBatchTest, TransformPlansShareTheGuardedCache) {
 
   std::vector<const Database*> dbs;
   for (const Database& db : fleet) dbs.push_back(&db);
+  // Cold round first (every worker misses the cache and inserts), then
+  // warm rounds that hit it.
+  std::vector<Result<EntailResult>> rounds[3];
+  for (auto& round : rounds) round = EvaluateFleet(plan.value(), dbs, 4);
   const std::vector<Result<EntailResult>> serial =
-      plan.value().EvaluateBatch(dbs, /*num_workers=*/1);
-  for (int round = 0; round < 3; ++round) {  // warm + cached rounds
-    ExpectSameResults(serial, plan.value().EvaluateBatch(dbs, 4));
-  }
-}
-
-TEST(ParallelBruteForceTest, SubtreeShardingMatchesSerialOnRandomCorpus) {
-  for (uint64_t seed = 0; seed < 25; ++seed) {
-    auto vocab = std::make_shared<Vocabulary>();
-    Rng rng(seed);
-    MonadicDbParams params;
-    params.num_chains = rng.UniformInt(1, 3);
-    params.chain_length = rng.UniformInt(1, 3);
-    params.num_predicates = 2;
-    params.le_probability = 0.4;
-    Database db = RandomMonadicDb(params, vocab, rng);
-    Query query = RandomDisjunctiveSequentialQuery(
-        rng.UniformInt(1, 2), rng.UniformInt(1, 3), 2, 0.5, 0.4, vocab, rng);
-    Result<NormQuery> norm_query = NormalizeQuery(query);
-    ASSERT_TRUE(norm_query.ok());
-    Result<NormDb> norm = Normalize(db);
-    ASSERT_TRUE(norm.ok());
-
-    EngineContext context;
-    context.want_countermodel = true;
-    const EngineOutcome serial =
-        EntailBruteForce(norm.value(), norm_query.value(), context);
-    for (int workers : {2, 4}) {
-      context.num_threads = workers;
-      const EngineOutcome parallel =
-          EntailBruteForce(norm.value(), norm_query.value(), context);
-      EXPECT_EQ(parallel.entailed, serial.entailed)
-          << "seed " << seed << " workers " << workers;
-      ASSERT_EQ(parallel.countermodel.has_value(),
-                serial.countermodel.has_value())
-          << "seed " << seed << " workers " << workers;
-      if (serial.countermodel.has_value()) {
-        // The deterministic merge reports exactly the serial search's
-        // countermodel (first one of the lowest subtree containing any).
-        EXPECT_EQ(parallel.countermodel->ToString(),
-                  serial.countermodel->ToString())
-            << "seed " << seed << " workers " << workers;
-      }
-      if (serial.entailed) {
-        // No early exit: the sharded counters are exact — including the
-        // reachability-probe counters (the parallel engine counts the
-        // depth-0 probes once, in the root-collection pass, and each
-        // subtree worker counts exactly its own subtree's probes).
-        EXPECT_EQ(parallel.models_enumerated, serial.models_enumerated)
-            << "seed " << seed << " workers " << workers;
-        EXPECT_EQ(parallel.groups_pushed, serial.groups_pushed)
-            << "seed " << seed << " workers " << workers;
-        EXPECT_EQ(parallel.groups_popped, serial.groups_popped)
-            << "seed " << seed << " workers " << workers;
-        EXPECT_EQ(parallel.check_stats.reach_probes,
-                  serial.check_stats.reach_probes)
-            << "seed " << seed << " workers " << workers;
-        EXPECT_EQ(parallel.check_stats.reach_fast_hits,
-                  serial.check_stats.reach_fast_hits)
-            << "seed " << seed << " workers " << workers;
-        EXPECT_EQ(parallel.check_stats.reach_fallbacks,
-                  serial.check_stats.reach_fallbacks)
-            << "seed " << seed << " workers " << workers;
-        EXPECT_EQ(parallel.check_stats.index_rebuilds,
-                  serial.check_stats.index_rebuilds)
-            << "seed " << seed << " workers " << workers;
-        EXPECT_EQ(parallel.check_stats.assignments_tried,
-                  serial.check_stats.assignments_tried)
-            << "seed " << seed << " workers " << workers;
-      }
-    }
-  }
-}
-
-TEST(ParallelBruteForceTest, NotEntailedDecisionsReportSerialCounters) {
-  // A not-entailed sharded decision merges the counters of subtrees
-  // 0..winner only (the serial search stops in the winner's subtree
-  // too), so its work counters and countermodel are exactly the serial
-  // run's, whatever the sibling subtrees above the winner had done.
-  int not_entailed = 0;
-  for (uint64_t seed = 0; seed < 40; ++seed) {
-    auto vocab = std::make_shared<Vocabulary>();
-    Rng rng(7000 + seed);
-    MonadicDbParams params;
-    params.num_chains = 3;
-    params.chain_length = rng.UniformInt(1, 3);
-    params.num_predicates = 2;
-    params.le_probability = 0.3;
-    Database db = RandomMonadicDb(params, vocab, rng);
-    Query query = RandomDisjunctiveSequentialQuery(
-        rng.UniformInt(1, 2), rng.UniformInt(1, 3), 2, 0.5, 0.4, vocab, rng);
-    Result<NormQuery> norm_query = NormalizeQuery(query);
-    ASSERT_TRUE(norm_query.ok());
-    Result<NormDb> norm = Normalize(db);
-    ASSERT_TRUE(norm.ok());
-
-    EngineContext context;
-    context.want_countermodel = true;
-    const EngineOutcome serial =
-        EntailBruteForce(norm.value(), norm_query.value(), context);
-    if (serial.entailed) continue;
-    ++not_entailed;
-    ASSERT_TRUE(serial.countermodel.has_value()) << "seed " << seed;
-    for (int workers : {2, 4}) {
-      for (int round = 0; round < 3; ++round) {
-        context.num_threads = workers;
-        const EngineOutcome parallel =
-            EntailBruteForce(norm.value(), norm_query.value(), context);
-        const std::string where = "seed " + std::to_string(seed) +
-                                  " workers " + std::to_string(workers);
-        ASSERT_FALSE(parallel.entailed) << where;
-        ASSERT_TRUE(parallel.countermodel.has_value()) << where;
-        EXPECT_EQ(parallel.countermodel->ToString(),
-                  serial.countermodel->ToString())
-            << where;
-        EXPECT_EQ(parallel.models_enumerated, serial.models_enumerated)
-            << where;
-        EXPECT_EQ(parallel.groups_pushed, serial.groups_pushed) << where;
-        EXPECT_EQ(parallel.groups_popped, serial.groups_popped) << where;
-        EXPECT_EQ(parallel.check_stats.assignments_tried,
-                  serial.check_stats.assignments_tried)
-            << where;
-      }
-    }
-  }
-  EXPECT_GE(not_entailed, 10);
+      EvaluateFleet(plan.value(), dbs, /*workers=*/1);
+  for (const auto& round : rounds) ExpectSameResults(serial, round);
 }
 
 TEST(ParallelEvaluateBatchTest, BatchSlotsReportIdenticalCounters) {
-  // Counter-aggregation audit: per-worker ModelCheckStats must merge into
-  // each slot exactly once — a serial batch and a 4-worker batch report
-  // identical per-slot counters, and duplicate database pointers (which
-  // the parallel path dedups and copies) must carry the counters too.
+  // Counter-aggregation audit: each evaluation owns its counters, so a
+  // serial fleet run and a 4-worker run report identical per-slot work
+  // counters.
   auto vocab = std::make_shared<Vocabulary>();
   std::vector<SchedulingScenario> fleet;
   for (int i = 0; i < 6; ++i) {
@@ -249,17 +131,24 @@ TEST(ParallelEvaluateBatchTest, BatchSlotsReportIdenticalCounters) {
   PreparedQuery plan = PrepareForbiddenPlan(fleet[0]);
   std::vector<const Database*> dbs;
   for (const SchedulingScenario& scenario : fleet) dbs.push_back(&scenario.db);
-  dbs.push_back(&fleet[2].db);  // duplicate slots
-  dbs.push_back(&fleet[0].db);
 
-  const std::vector<Result<EntailResult>> serial =
-      plan.EvaluateBatch(dbs, /*num_workers=*/1);
   const std::vector<Result<EntailResult>> parallel =
-      plan.EvaluateBatch(dbs, 4);
+      EvaluateFleet(plan, dbs, 4);
+  const std::vector<Result<EntailResult>> serial =
+      EvaluateFleet(plan, dbs, /*workers=*/1);
   ASSERT_EQ(serial.size(), parallel.size());
   for (size_t i = 0; i < serial.size(); ++i) {
     ASSERT_EQ(serial[i].ok(), parallel[i].ok()) << "slot " << i;
     if (!serial[i].ok()) continue;
+    EXPECT_EQ(parallel[i].value().models_enumerated,
+              serial[i].value().models_enumerated)
+        << "slot " << i;
+    EXPECT_EQ(parallel[i].value().groups_pushed,
+              serial[i].value().groups_pushed)
+        << "slot " << i;
+    EXPECT_EQ(parallel[i].value().groups_popped,
+              serial[i].value().groups_popped)
+        << "slot " << i;
     const ModelCheckStats& s = serial[i].value().check_stats;
     const ModelCheckStats& p = parallel[i].value().check_stats;
     EXPECT_EQ(p.assignments_tried, s.assignments_tried) << "slot " << i;
@@ -270,28 +159,6 @@ TEST(ParallelEvaluateBatchTest, BatchSlotsReportIdenticalCounters) {
     EXPECT_EQ(p.reach_fallbacks, s.reach_fallbacks) << "slot " << i;
     EXPECT_EQ(p.index_rebuilds, s.index_rebuilds) << "slot " << i;
   }
-}
-
-TEST(ParallelEvaluateBatchTest, SingleDatabaseShardsTheEnumeration) {
-  // One hard brute-force query: the batch API shards enumeration subtrees.
-  auto vocab = std::make_shared<Vocabulary>();
-  Rng rng(77);
-  MonadicDbParams params;
-  params.num_chains = 3;
-  params.chain_length = 3;
-  params.num_predicates = 2;
-  Database db = RandomMonadicDb(params, vocab, rng);
-  db.AddNotEqual("c0_0", "c1_0");  // inequality forces brute force
-  Query query = RandomSequentialQuery(3, 2, 0.5, 0.4, vocab, rng);
-  EntailOptions brute;
-  brute.engine = EngineKind::kBruteForce;
-  Result<PreparedQuery> plan = Prepare(vocab, query, brute);
-  ASSERT_TRUE(plan.ok());
-
-  std::vector<const Database*> dbs{&db};
-  const std::vector<Result<EntailResult>> serial =
-      plan.value().EvaluateBatch(dbs, /*num_workers=*/1);
-  ExpectSameResults(serial, plan.value().EvaluateBatch(dbs, 4));
 }
 
 }  // namespace

@@ -285,27 +285,6 @@ TEST(PrepareTest, ScenarioPlansReproduceTheExpectedVerdicts) {
   EXPECT_TRUE(entailed(plans.twice_someone));
 }
 
-TEST(PrepareTest, EvaluateBatchMatchesIndividualEvaluates) {
-  auto vocab = std::make_shared<Vocabulary>();
-  std::vector<SchedulingScenario> fleet;
-  for (int i = 0; i < 6; ++i) {
-    Rng rng(300 + i);
-    fleet.push_back(MakeSchedulingScenario(2, 3, rng, vocab));
-  }
-  PreparedQuery plan = PrepareForbiddenPlan(fleet[0]);
-  std::vector<const Database*> dbs;
-  for (const SchedulingScenario& scenario : fleet) dbs.push_back(&scenario.db);
-  std::vector<Result<EntailResult>> batch = plan.EvaluateBatch(dbs);
-  ASSERT_EQ(batch.size(), fleet.size());
-  for (size_t i = 0; i < fleet.size(); ++i) {
-    ASSERT_TRUE(batch[i].ok());
-    Result<EntailResult> single = plan.Evaluate(fleet[i].db);
-    ASSERT_TRUE(single.ok());
-    EXPECT_EQ(batch[i].value().entailed, single.value().entailed) << i;
-    EXPECT_EQ(batch[i].value().engine_used, single.value().engine_used) << i;
-  }
-}
-
 TEST(PrepareTest, EnumerateCountermodelsMatchesFacade) {
   Rng rng(17);
   SchedulingScenario scenario = MakeSchedulingScenario(2, 3, rng);

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -284,6 +285,32 @@ Status LoadMixedDatabases(EvaluationService& service) {
   return Status::Ok();
 }
 
+// A batch member must report exactly what the same single Eval reports:
+// status, verdict, engine, countermodel, the --explain counters and the
+// pinned version.
+void ExpectSameResponse(const Result<EvalResponse>& got,
+                        const Result<EvalResponse>& want,
+                        const std::string& where) {
+  ASSERT_EQ(got.ok(), want.ok()) << where;
+  if (!want.ok()) {
+    EXPECT_EQ(got.status().ToString(), want.status().ToString()) << where;
+    return;
+  }
+  EXPECT_EQ(got.value().entailed, want.value().entailed) << where;
+  EXPECT_EQ(got.value().engine_used, want.value().engine_used) << where;
+  ASSERT_EQ(got.value().countermodel.has_value(),
+            want.value().countermodel.has_value())
+      << where;
+  if (want.value().countermodel.has_value()) {
+    EXPECT_EQ(got.value().countermodel->ToString(),
+              want.value().countermodel->ToString())
+        << where;
+  }
+  EXPECT_EQ(got.value().explain, want.value().explain) << where;
+  EXPECT_EQ(got.value().db_uid, want.value().db_uid) << where;
+  EXPECT_EQ(got.value().db_revision, want.value().db_revision) << where;
+}
+
 TEST(ServiceGovernanceTest, BatchMembersMatchSingleEvals) {
   const std::vector<EvalRequest> requests = MixedBatch();
   for (int workers : {1, 2, 4}) {
@@ -302,26 +329,14 @@ TEST(ServiceGovernanceTest, BatchMembersMatchSingleEvals) {
     for (size_t i = 0; i < requests.size(); ++i) {
       const std::string where =
           "workers " + std::to_string(workers) + " slot " + std::to_string(i);
-      ASSERT_EQ(batch[i].ok(), singles[i].ok()) << where;
-      if (!singles[i].ok()) {
-        ++failed;
-        EXPECT_EQ(batch[i].status().ToString(), singles[i].status().ToString())
-            << where;
-        continue;
-      }
-      const EvalResponse& got = batch[i].value();
-      const EvalResponse& want = singles[i].value();
-      EXPECT_EQ(got.entailed, want.entailed) << where;
-      EXPECT_EQ(got.engine_used, want.engine_used) << where;
-      ASSERT_EQ(got.countermodel.has_value(), want.countermodel.has_value())
-          << where;
-      if (want.countermodel.has_value()) {
-        EXPECT_EQ(got.countermodel->ToString(), want.countermodel->ToString())
-            << where;
-      }
-      EXPECT_EQ(got.explain, want.explain) << where;
-      EXPECT_EQ(got.db_uid, want.db_uid) << where;
-      EXPECT_EQ(got.db_revision, want.db_revision) << where;
+      if (!singles[i].ok()) ++failed;
+      ExpectSameResponse(batch[i], singles[i], where);
+      // A one-member batch runs its lone pair through the same fan-out,
+      // so it reports the single Eval's counters too.
+      const std::vector<Result<EvalResponse>> lone =
+          service.EvalBatch(std::span<const EvalRequest>(&requests[i], 1));
+      ASSERT_EQ(lone.size(), 1u) << where;
+      ExpectSameResponse(lone[0], singles[i], where + " (one-member batch)");
     }
     EXPECT_EQ(failed, 2) << "workers " << workers;
   }
